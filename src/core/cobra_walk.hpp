@@ -22,9 +22,11 @@
 ///     — in parallel across the thread pool once the frontier is large
 ///     enough, serially (same chunking, same bits) below that. The active
 ///     set is held in a dual-representation core::Frontier: on expanders
-///     it becomes a bitmap once it reaches Θ(n), and `active()`
-///     materializes the sorted vertex list on demand (`frontier().size()`
-///     is always O(1)).
+///     it becomes a bitmap once it reaches Θ(n). `frontier()` exposes it
+///     as is — `size()` is always O(1), and the sim:: stop rules read its
+///     bitmap words or sorted list directly — while `active()`
+///     materializes the sorted vertex list on demand (O(n/64 + |S_t|)
+///     after a dense round), for callers that need a span.
 ///   * One draw of the caller's engine per round seeds the whole round, so
 ///     a walk remains a pure function of (graph, start, k, engine seed)
 ///     regardless of thread count or frontier representation.
@@ -53,7 +55,8 @@ class CobraWalk {
 
   /// Vertices active at the current round (sorted ascending,
   /// duplicate-free). Materializes from the bitmap after dense rounds —
-  /// prefer `frontier().size()` when only the count is needed.
+  /// prefer `frontier()` (its O(1) `size()`, `contains()` or bitmap
+  /// `words()`) when the list itself is not needed.
   [[nodiscard]] std::span<const Vertex> active() const {
     return frontier_.vertices();
   }

@@ -1,5 +1,7 @@
 #include "core/cover_time.hpp"
 
+#include <bit>
+#include <cassert>
 #include <stdexcept>
 
 #include "core/cobra_walk.hpp"
@@ -11,13 +13,16 @@
 namespace cobra::core {
 
 CoverageTracker::CoverageTracker(std::uint32_t num_vertices)
-    : covered_(num_vertices, 0) {}
+    : words_((static_cast<std::size_t>(num_vertices) + 63) / 64, 0),
+      n_(num_vertices) {}
 
 std::uint32_t CoverageTracker::absorb(std::span<const Vertex> active) {
   std::uint32_t newly = 0;
   for (const Vertex v : active) {
-    if (covered_[v] == 0) {
-      covered_[v] = 1;
+    std::uint64_t& word = words_[v >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
       ++newly;
     }
   }
@@ -25,15 +30,37 @@ std::uint32_t CoverageTracker::absorb(std::span<const Vertex> active) {
   return newly;
 }
 
+std::uint32_t CoverageTracker::absorb(std::span<const std::uint64_t> words) {
+  assert(words.size() == words_.size());
+  std::uint32_t newly = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    newly += static_cast<std::uint32_t>(std::popcount(words[w] & ~words_[w]));
+    words_[w] |= words[w];
+  }
+  count_ += newly;
+  return newly;
+}
+
 void CoverageTracker::reset() {
-  covered_.assign(covered_.size(), 0);
+  words_.assign(words_.size(), 0);
   count_ = 0;
 }
 
+std::vector<std::uint8_t> CoverageTracker::raw() const {
+  std::vector<std::uint8_t> bytes(n_);
+  for (Vertex v = 0; v < n_; ++v) bytes[v] = is_covered(v) ? 1 : 0;
+  return bytes;
+}
+
 void CoverageTracker::restore_raw(std::span<const std::uint8_t> bytes) {
-  covered_.assign(bytes.begin(), bytes.end());
+  n_ = static_cast<std::uint32_t>(bytes.size());
+  words_.assign((bytes.size() + 63) / 64, 0);
   count_ = 0;
-  for (const std::uint8_t b : covered_) count_ += (b != 0) ? 1u : 0u;
+  for (std::size_t v = 0; v < bytes.size(); ++v) {
+    if (bytes[v] == 0) continue;
+    words_[v >> 6] |= std::uint64_t{1} << (v & 63);
+    ++count_;
+  }
 }
 
 std::uint64_t default_step_budget(std::uint32_t num_vertices) {

@@ -16,7 +16,9 @@
 
 namespace cobra::core {
 
-/// Set-of-covered-vertices tracker with O(1) absorb per active vertex.
+/// Set-of-covered-vertices tracker, one bit per vertex: O(1) absorb per
+/// active vertex from a sorted list, O(n/64) word ORs from a dense
+/// frontier's bitmap.
 class CoverageTracker {
  public:
   explicit CoverageTracker(std::uint32_t num_vertices);
@@ -24,30 +26,35 @@ class CoverageTracker {
   /// Mark all of `active` covered; returns how many were newly covered.
   std::uint32_t absorb(std::span<const Vertex> active);
 
+  /// Mark every set bit of `words` (a bitmap over [0, total()) in
+  /// Frontier layout: bit v & 63 of word v >> 6, bits past total() clear)
+  /// covered; returns how many were newly covered.
+  std::uint32_t absorb(std::span<const std::uint64_t> words);
+
   void reset();
 
-  [[nodiscard]] bool is_covered(Vertex v) const { return covered_[v] != 0; }
-  [[nodiscard]] std::uint32_t covered_count() const noexcept { return count_; }
-  [[nodiscard]] std::uint32_t total() const noexcept {
-    return static_cast<std::uint32_t>(covered_.size());
+  [[nodiscard]] bool is_covered(Vertex v) const {
+    return ((words_[v >> 6] >> (v & 63)) & 1u) != 0;
   }
+  [[nodiscard]] std::uint32_t covered_count() const noexcept { return count_; }
+  [[nodiscard]] std::uint32_t total() const noexcept { return n_; }
   [[nodiscard]] bool complete() const noexcept { return count_ == total(); }
   [[nodiscard]] double fraction() const noexcept {
     return total() == 0 ? 1.0
                         : static_cast<double>(count_) / static_cast<double>(total());
   }
 
-  /// The covered-flag bytes verbatim (checkpoint serialization).
-  [[nodiscard]] std::span<const std::uint8_t> raw() const noexcept {
-    return covered_;
-  }
+  /// One 0/1 covered-flag byte per vertex (the checkpoint format).
+  [[nodiscard]] std::vector<std::uint8_t> raw() const;
 
   /// Replace the tracker's contents with previously saved `raw()` bytes
-  /// (the byte count is the vertex count) and recount.
+  /// (the byte count is the vertex count; any nonzero byte is covered)
+  /// and recount.
   void restore_raw(std::span<const std::uint8_t> bytes);
 
  private:
-  std::vector<std::uint8_t> covered_;
+  std::vector<std::uint64_t> words_;
+  std::uint32_t n_ = 0;
   std::uint32_t count_ = 0;
 };
 

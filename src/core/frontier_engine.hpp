@@ -71,10 +71,12 @@
 ///
 /// Scheduling: chunks are claimed dynamically by a fixed set of workers
 /// (par::parallel_for_chunks), each owning a reusable flat offspring
-/// buffer and a decode scratch — no per-chunk allocation in steady state.
-/// The sampling loop software-prefetches the CSR adjacency row a few
-/// vertices ahead (ascending visit order makes the offsets stream
-/// sequential, so only the targets row needs the hint).
+/// buffer and a decode scratch for dense input chunks — no per-chunk
+/// allocation in steady state. Pooled and sparse sampling loops
+/// software-prefetch the CSR adjacency row a few vertices ahead (ascending
+/// visit order makes the offsets stream sequential, so only the targets
+/// row needs the hint). The serial dense round decodes nothing: it walks
+/// each chunk's bitmap words in place, in the same ascending order.
 
 namespace cobra::core {
 
@@ -166,6 +168,23 @@ class Frontier {
       list_valid_ = true;
     }
     return list_;
+  }
+
+  /// The bitmap, bit v & 63 of word v >> 6 over (n + 63) / 64 words — the
+  /// authoritative form while dense(), stale otherwise. Reading it costs
+  /// nothing, whether or not vertices() has cached the list.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return bits_;
+  }
+
+  /// Whether `v` is in the frontier, without materializing it: a bit test
+  /// when dense, a binary search of the sorted list when sparse.
+  [[nodiscard]] bool contains(Vertex v) const noexcept {
+    if (dense_) {
+      const std::size_t w = v >> 6;
+      return w < bits_.size() && ((bits_[w] >> (v & 63)) & 1u) != 0;
+    }
+    return std::binary_search(list_.begin(), list_.end(), v);
   }
 
   /// Reset to the empty sparse frontier (storage retained).
@@ -487,7 +506,8 @@ class FrontierEngine {
   /// Serial in-line visit of every chunk with active vertices. For sparse
   /// input this walks the sorted list run by run (no scan over empty
   /// chunks — a 24-vertex ring frontier touches 1-2 chunks, not n/span);
-  /// dense input scans the bitmap words once.
+  /// dense input walks the bitmap words in place, skipping all-zero chunks
+  /// before their RNG is seeded and visiting set bits ascending.
   template <typename Sampler, typename Sink>
   void serial_visit(const FrontierView& in, std::size_t span,
                     std::uint64_t round_seed, const Sampler& sampler,
@@ -510,13 +530,23 @@ class FrontierEngine {
       }
       return;
     }
-    const std::size_t n_chunks =
-        (g_->num_vertices() + span - 1) / span;
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const auto vs = chunk_vertices(in, span, c, scratch_decode_);
-      if (vs.empty()) continue;
+    const auto words = in.words();
+    const std::size_t chunk_words = span / 64;
+    for (std::size_t c = 0, w0 = 0; w0 < words.size(); ++c, w0 += chunk_words) {
+      const std::size_t w1 = std::min(w0 + chunk_words, words.size());
+      const auto chunk = words.subspan(w0, w1 - w0);
+      if (std::all_of(chunk.begin(), chunk.end(),
+                      [](std::uint64_t word) { return word == 0; })) {
+        continue;
+      }
       ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-      process_run(vs, rng, sampler, sink);
+      for (std::size_t w = w0; w < w1; ++w) {
+        for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+          const auto v = static_cast<Vertex>(
+              (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+          sampler(v, rng, sink);
+        }
+      }
       last_rng_blocks_ += rng.refills();
     }
   }
@@ -550,7 +580,6 @@ class FrontierEngine {
   bool last_dense_ = false;  ///< hysteresis memory
   bool have_mode_ = false;   ///< false until the first non-empty round
   std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
-  std::vector<Vertex> scratch_decode_;       ///< serial dense-input decode
   // Reusable flat per-worker state (sized once, cleared per round).
   std::vector<std::vector<Vertex>> worker_lists_;    ///< sparse claims
   std::vector<std::vector<Vertex>> worker_decode_;   ///< dense-input decode

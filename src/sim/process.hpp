@@ -29,9 +29,12 @@
 /// fresh process per trial inside `Runner::replicate`.
 ///
 /// Processes that maintain a dual-representation core::Frontier also expose
-/// `frontier()` with an O(1) `size()`; `active_size()` below routes through
-/// it so stop rules and growth observers never pay for materializing the
-/// sorted vertex list after a dense round.
+/// `frontier()`, holding exactly the `active()` set. Stop rules and
+/// observers read through it instead of `active()`, so they never pay for
+/// materializing the sorted vertex list after a dense round:
+/// `active_size()` below takes its O(1) `size()`, CoverStop ORs its bitmap
+/// words into the coverage set, and HitTarget / ExcursionStop test
+/// membership with a bit test or binary search.
 
 namespace cobra::sim {
 

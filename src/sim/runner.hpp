@@ -206,7 +206,9 @@ class Runner {
   /// Stop/observer serialization hooks, structural like start/observe.
   /// A hook without save/restore contributes zero bytes; on restore it
   /// falls back to `start(p)` so stateless hooks (Extinction, FixedRounds
-  /// re-anchored below) come up initialized. save/restore must be paired
+  /// re-anchored below) come up initialized. `restore_state(r, p)` is
+  /// preferred over `restore_state(r)`, for hooks that validate their
+  /// saved state against the process. save/restore must be paired
   /// per type or the payload misaligns — caught by the exhausted() check.
   template <typename Hook>
   static void save_hook(const Hook& h, util::CheckpointWriter& w) {
@@ -214,7 +216,9 @@ class Runner {
   }
   template <typename Hook, Process P>
   static void restore_hook(Hook& h, util::CheckpointReader& r, const P& p) {
-    if constexpr (requires { h.restore_state(r); }) {
+    if constexpr (requires { h.restore_state(r, p); }) {
+      h.restore_state(r, p);
+    } else if constexpr (requires { h.restore_state(r); }) {
       h.restore_state(r);
     } else {
       start_hook(h, p);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "core/cover_time.hpp"
+#include "core/frontier_engine.hpp"
 #include "core/types.hpp"
 #include "sim/process.hpp"
 #include "util/checkpoint_io.hpp"
@@ -28,25 +30,51 @@
 /// Rules whose verdict depends on run HISTORY (not just the current
 /// process state) additionally provide save_state/restore_state for the
 /// Runner's checkpointing: CoverStop's coverage set, HitTarget's latch,
-/// FixedRounds' anchor round. Stateless rules (Extinction, Until) need
-/// nothing — the Runner's restore falls back to start().
+/// FixedRounds' anchor round. A rule that must check its saved state
+/// against the process declares `restore_state(r, p)` instead of
+/// `restore_state(r)`. Stateless rules (Extinction, Until) need nothing —
+/// the Runner's restore falls back to start().
+///
+/// Rules that read the active set every round read it through the
+/// process's native `frontier()` when it has one — bitmap words after a
+/// dense round, the sorted list after a sparse one — so no round pays for
+/// materializing the vertex list. Processes without `frontier()` are read
+/// through `active()`.
 
 namespace cobra::sim {
 
+namespace detail {
+
+/// Whether `v` is active: a bit test or binary search on the native
+/// frontier when the process exposes one, a scan of `active()` otherwise.
+template <Process P>
+[[nodiscard]] bool is_active(const P& p, core::Vertex v) {
+  if constexpr (requires { p.frontier(); }) {
+    return p.frontier().contains(v);
+  } else {
+    const auto active = p.active();
+    return std::find(active.begin(), active.end(), v) != active.end();
+  }
+}
+
+}  // namespace detail
+
 /// Stop when every vertex of the graph has been active at least once —
 /// the paper's cover time. Owns the CoverageTracker (sized lazily from
-/// `p.n()` at start, so one rule value works for any process).
+/// `p.n()` at start, so one rule value works for any process). Each round
+/// ORs a dense frontier's bitmap words into the tracker, or marks a sparse
+/// frontier's sorted list.
 class CoverStop {
  public:
   template <Process P>
   void start(const P& p) {
     tracker_.emplace(static_cast<std::uint32_t>(p.n()));
-    tracker_->absorb(p.active());
+    absorb(p);
   }
 
   template <Process P>
   void observe(const P& p) {
-    tracker_->absorb(p.active());
+    absorb(p);
   }
 
   template <Process P>
@@ -65,23 +93,51 @@ class CoverStop {
   }
 
   /// Coverage is history, not derivable from the frontier — it must ride
-  /// in every snapshot. The byte count doubles as the vertex count on
-  /// restore, so no process handle is needed.
+  /// in every snapshot, as one 0/1 byte per vertex. Restore rejects a
+  /// byte count other than `p.n()` (a snapshot of a different graph) and
+  /// any other byte value with util::CheckpointError.
   void save_state(util::CheckpointWriter& w) const {
     w.u8(tracker_.has_value() ? 1 : 0);
     if (tracker_) w.bytes(tracker_->raw());
   }
-  void restore_state(util::CheckpointReader& r) {
+  template <Process P>
+  void restore_state(util::CheckpointReader& r, const P& p) {
     if (r.u8() == 0) {
       tracker_.reset();
       return;
     }
     const std::vector<std::uint8_t> raw = r.bytes();
+    if (raw.size() != static_cast<std::size_t>(p.n())) {
+      throw util::CheckpointError(
+          "CoverStop coverage: " + std::to_string(raw.size()) +
+          " vertices in snapshot, process has " + std::to_string(p.n()));
+    }
+    if (std::any_of(raw.begin(), raw.end(),
+                    [](std::uint8_t b) { return b > 1; })) {
+      throw util::CheckpointError("CoverStop coverage: flag byte not 0/1");
+    }
     tracker_.emplace(static_cast<std::uint32_t>(raw.size()));
     tracker_->restore_raw(raw);
   }
 
  private:
+  template <Process P>
+  void absorb(const P& p) {
+    if constexpr (requires { p.frontier(); }) {
+      // Dense: OR the bitmap even when a caller has already cached the
+      // list — one sequential pass over n/64 words instead of a random
+      // access per active vertex. Sparse: vertices() is the list itself.
+      const core::Frontier& f = p.frontier();
+      if (f.dense()) {
+        tracker_->absorb(f.words());
+      } else {
+        tracker_->absorb(f.vertices());
+      }
+    } else {
+      tracker_->absorb(p.active());
+    }
+  }
+
   std::optional<core::CoverageTracker> tracker_;
 };
 
@@ -117,8 +173,7 @@ class HitTarget {
  private:
   template <Process P>
   void scan(const P& p) {
-    const auto active = p.active();
-    hit_ = std::find(active.begin(), active.end(), target_) != active.end();
+    hit_ = detail::is_active(p, target_);
   }
 
   core::Vertex target_;
@@ -172,10 +227,7 @@ class ExcursionStop {
 
   template <Process P>
   void observe(const P& p) {
-    const auto active = p.active();
-    if (std::find(active.begin(), active.end(), home_) != active.end()) {
-      ++completed_;
-    }
+    if (detail::is_active(p, home_)) ++completed_;
   }
 
   template <Process P>
@@ -260,8 +312,9 @@ class AnyOf {
   void save_state(util::CheckpointWriter& w) const {
     std::apply([&](const Rules&... r) { (detail_save(r, w), ...); }, rules_);
   }
-  void restore_state(util::CheckpointReader& rd) {
-    std::apply([&](Rules&... r) { (detail_restore(r, rd), ...); }, rules_);
+  template <Process P>
+  void restore_state(util::CheckpointReader& rd, const P& p) {
+    std::apply([&](Rules&... r) { (detail_restore(r, rd, p), ...); }, rules_);
   }
 
  private:
@@ -277,9 +330,14 @@ class AnyOf {
   static void detail_save(const R& rule, util::CheckpointWriter& w) {
     if constexpr (requires { rule.save_state(w); }) rule.save_state(w);
   }
-  template <typename R>
-  static void detail_restore(R& rule, util::CheckpointReader& rd) {
-    if constexpr (requires { rule.restore_state(rd); }) rule.restore_state(rd);
+  template <typename R, Process P>
+  static void detail_restore(R& rule, util::CheckpointReader& rd,
+                             const P& p) {
+    if constexpr (requires { rule.restore_state(rd, p); }) {
+      rule.restore_state(rd, p);
+    } else if constexpr (requires { rule.restore_state(rd); }) {
+      rule.restore_state(rd);
+    }
   }
 
   std::tuple<Rules&...> rules_;

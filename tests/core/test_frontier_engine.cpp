@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/coalescing_walk.hpp"
@@ -237,7 +238,9 @@ TEST(FrontierEngine, ExtinctGeneralizedWalkStepsAreCheapNoOps) {
 }
 
 /// Run `rounds` rounds through the Frontier-object API, recording the
-/// materialized frontier after every round.
+/// frontier after every round. The record is decoded from a FrontierView,
+/// not through vertices(): a cached list would make the next round walk
+/// the list instead of the bitmap, hiding the dense-input path.
 std::vector<std::vector<Vertex>> run_trajectory(const Graph& g,
                                                 FrontierOptions opts,
                                                 std::uint64_t rounds) {
@@ -253,31 +256,44 @@ std::vector<std::vector<Vertex>> run_trajectory(const Graph& g,
     // trajectories are directly comparable.
     engine.expand(frontier, next, /*round_seed=*/0x5EED0000ULL + r, sampler);
     frontier.swap(next);
-    const auto vs = frontier.vertices();
-    trajectory.emplace_back(vs.begin(), vs.end());
+    const FrontierView view(frontier);
+    std::vector<Vertex> vs(view.list().begin(), view.list().end());
+    if (view.dense()) {
+      detail::decode_bits(view.words(), 0, view.words().size(), vs);
+    }
+    trajectory.push_back(std::move(vs));
   }
   return trajectory;
 }
 
 TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
-  Engine graph_gen(31);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  // n = 1000 with chunk_size = 100: a partial last bitmap word, and a
+  // chunk size the engine must round up to 128.
+  const struct {
+    std::uint32_t n;
+    std::size_t chunk;
+  } cases[] = {{4096, kChunk}, {1000, 100}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.n);
+    Engine graph_gen(31);
+    const Graph g = make_random_regular(graph_gen, c.n, 4);
 
-  FrontierOptions sparse;
-  sparse.chunk_size = kChunk;
-  sparse.parallel_threshold = static_cast<std::size_t>(-1);
-  sparse.mode = FrontierMode::ForceSparse;
-  FrontierOptions dense = sparse;
-  dense.mode = FrontierMode::ForceDense;
-  FrontierOptions automatic = sparse;
-  automatic.mode = FrontierMode::Auto;
+    FrontierOptions sparse;
+    sparse.chunk_size = c.chunk;
+    sparse.parallel_threshold = static_cast<std::size_t>(-1);
+    sparse.mode = FrontierMode::ForceSparse;
+    FrontierOptions dense = sparse;
+    dense.mode = FrontierMode::ForceDense;
+    FrontierOptions automatic = sparse;
+    automatic.mode = FrontierMode::Auto;
 
-  const auto ref = run_trajectory(g, sparse, 8);
-  EXPECT_EQ(run_trajectory(g, dense, 8), ref);
-  EXPECT_EQ(run_trajectory(g, automatic, 8), ref);
-  // The span-in/vector-out API (gossip's path) must agree as well — it
-  // shares the chunk streams, only the output plumbing differs.
-  EXPECT_EQ(run_rounds(g, dense, 8), ref.back());
+    const auto ref = run_trajectory(g, sparse, 8);
+    EXPECT_EQ(run_trajectory(g, dense, 8), ref);
+    EXPECT_EQ(run_trajectory(g, automatic, 8), ref);
+    // The span-in/vector-out API (gossip's path) must agree as well — it
+    // shares the chunk streams, only the output plumbing differs.
+    EXPECT_EQ(run_rounds(g, dense, 8), ref.back());
+  }
 }
 
 TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {

@@ -321,6 +321,45 @@ TEST_F(CheckpointTest, ObserverPackMismatchIsDetectedOnResume) {
                util::CheckpointError);
 }
 
+TEST_F(CheckpointTest, CoverStateFromAnotherGraphIsRejectedOnResume) {
+  // A 2^8-torus snapshot resumed into a walk on the 2^12 torus: the
+  // walk's frontier is valid there (ids < 256), but the coverage set is
+  // sized for 256 vertices and must not be trusted for 4096.
+  const graph::Graph small = gen::build_graph("torus:n=2^8");
+  const std::string snap = temp_path("other_graph.snap");
+  core::Engine gen(4);
+  core::CobraWalk walk(small, 0, 2);
+  sim::CoverStop cover;
+  const auto first = sim::Runner(6).run_snapshotting(
+      walk, gen, sim::SnapshotPolicy{snap, 3}, cover);
+  ASSERT_FALSE(first.stopped);
+
+  const graph::Graph big = gen::build_graph("torus:n=2^12");
+  core::CobraWalk walk2(big, 0, 2);
+  core::Engine gen2(4);
+  sim::CoverStop cover2;
+  EXPECT_THROW((void)sim::Runner(1u << 18).resume_from(
+                   walk2, gen2, sim::SnapshotPolicy{snap, 0}, cover2),
+               util::CheckpointError);
+}
+
+TEST_F(CheckpointTest, CoverStateRejectsFlagBytesOtherThanZeroOrOne) {
+  const graph::Graph g = gen::build_graph("ring:n=8");
+  core::CobraWalk walk(g, 0, 2);
+  const auto restore = [&](std::vector<std::uint8_t> flags) {
+    util::CheckpointWriter w;
+    w.u8(1);
+    w.bytes(flags);
+    util::CheckpointReader r(w.buffer());
+    sim::CoverStop cover;
+    cover.restore_state(r, walk);
+    return cover.covered_count();
+  };
+  EXPECT_EQ(restore({1, 0, 0, 1, 1, 0, 0, 0}), 3u);
+  EXPECT_THROW((void)restore({1, 0, 0, 2, 1, 0, 0, 0}), util::CheckpointError);
+  EXPECT_THROW((void)restore({1, 0, 0, 1, 1, 0, 0}), util::CheckpointError);
+}
+
 // ------------------------------------------------------ fault injection --
 
 TEST_F(CheckpointTest, PeriodicSnapshotFaultWarnsAndRunContinues) {

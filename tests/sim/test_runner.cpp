@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -68,6 +69,114 @@ TEST(Runner, HitTargetMatchesRawHitLoop) {
   ASSERT_TRUE(expected.hit);
   ASSERT_TRUE(r.stopped);
   EXPECT_EQ(expected.steps, r.rounds);
+
+  // A frontier process: HitTarget tests membership on the native frontier
+  // (bit test when dense, binary search when sparse), never materializing
+  // it. Every representation must hit in the raw loop's round.
+  const graph::Graph torus = gen::build_graph("torus:n=2^12");
+  const core::Vertex target = 64 * 32 + 32;  // opposite corner from 0
+  std::uint64_t auto_rounds = 0;
+  for (const core::FrontierMode mode :
+       {core::FrontierMode::Auto, core::FrontierMode::ForceSparse,
+        core::FrontierMode::ForceDense}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::Engine cobra_raw_gen(8);
+    core::CobraWalk cobra_raw(torus, 0, 2);
+    cobra_raw.engine().options().mode = mode;
+    const auto cobra_expected =
+        core::run_to_hit(cobra_raw, target, cobra_raw_gen, 1u << 20);
+    core::Engine cobra_sim_gen(8);
+    core::CobraWalk cobra(torus, 0, 2);
+    cobra.engine().options().mode = mode;
+    const auto cobra_r = sim::run_hit(cobra, target, cobra_sim_gen, 1u << 20);
+    ASSERT_TRUE(cobra_expected.hit);
+    ASSERT_TRUE(cobra_r.stopped);
+    EXPECT_EQ(cobra_expected.steps, cobra_r.rounds);
+    if (mode == core::FrontierMode::ForceDense) {
+      EXPECT_EQ(cobra.engine().sparse_rounds(), 0u);
+    }
+    if (mode == core::FrontierMode::Auto) auto_rounds = cobra_r.rounds;
+    EXPECT_EQ(cobra_r.rounds, auto_rounds);
+  }
+}
+
+TEST(Runner, ExcursionStopSameInEveryFrontierRepresentation) {
+  // ExcursionStop reads home's membership off the native frontier; the
+  // count must match a raw loop over the materialized active set.
+  const graph::Graph g = gen::build_graph("rreg:n=1000,d=4,seed=2");
+  const core::Vertex home = 17;
+  core::Engine raw_gen(6);
+  core::CobraWalk raw(g, 0, 2);
+  std::uint64_t raw_rounds = 0;
+  for (std::uint64_t returns = 0; returns < 12;) {
+    raw.step(raw_gen);
+    ++raw_rounds;
+    const auto a = raw.active();
+    returns += std::binary_search(a.begin(), a.end(), home) ? 1u : 0u;
+  }
+  for (const core::FrontierMode mode :
+       {core::FrontierMode::Auto, core::FrontierMode::ForceSparse,
+        core::FrontierMode::ForceDense}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::Engine gen(6);
+    core::CobraWalk walk(g, 0, 2);
+    walk.engine().options().mode = mode;
+    sim::ExcursionStop excursions(home, 12);
+    const auto r = sim::Runner(1u << 20).run(walk, gen, excursions);
+    ASSERT_TRUE(r.stopped);
+    EXPECT_EQ(r.rounds, raw_rounds);
+    EXPECT_EQ(excursions.completed(), 12u);
+  }
+}
+
+TEST(Runner, CoverStopCountsSameInEveryFrontierRepresentation) {
+  // CoverStop ORs dense bitmaps into its tracker and marks sparse lists;
+  // the covered count after every round and the cover round must not
+  // depend on which the engine ran. n = 1000 leaves a partial last word.
+  for (const char* spec : {"torus:n=2^10", "rreg:n=1000,d=4,seed=3"}) {
+    SCOPED_TRACE(spec);
+    const graph::Graph g = gen::build_graph(spec);
+    // Reference: the materialized active sets, counted independently.
+    std::vector<std::uint32_t> expected;
+    {
+      core::Engine gen(12);
+      core::CobraWalk walk(g, 0, 2);
+      std::vector<bool> seen(g.num_vertices(), false);
+      std::uint32_t covered = 0;
+      const auto mark = [&] {
+        for (const core::Vertex v : walk.active()) {
+          covered += seen[v] ? 0u : 1u;
+          seen[v] = true;
+        }
+        expected.push_back(covered);
+      };
+      mark();
+      while (covered < g.num_vertices()) {
+        walk.step(gen);
+        mark();
+      }
+    }
+    for (const core::FrontierMode mode :
+         {core::FrontierMode::Auto, core::FrontierMode::ForceSparse,
+          core::FrontierMode::ForceDense}) {
+      SCOPED_TRACE(static_cast<int>(mode));
+      core::Engine gen(12);
+      core::CobraWalk walk(g, 0, 2);
+      walk.engine().options().mode = mode;
+      sim::CoverStop cover;
+      cover.start(walk);
+      std::vector<std::uint32_t> counts{cover.covered_count()};
+      while (!cover.done(walk)) {
+        walk.step(gen);
+        cover.observe(walk);
+        counts.push_back(cover.covered_count());
+      }
+      EXPECT_EQ(counts, expected);
+      if (mode != core::FrontierMode::ForceSparse) {
+        EXPECT_GT(walk.engine().dense_rounds(), 0u);
+      }
+    }
+  }
 }
 
 TEST(Runner, HitTargetAlreadyActiveStopsAtZeroRounds) {
