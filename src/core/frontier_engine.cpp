@@ -199,16 +199,13 @@ void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
 void FrontierEngine::ensure_workers(std::size_t workers) {
   if (worker_lists_.size() < workers) {
     worker_lists_.resize(workers);
-    worker_decode_.resize(workers);
-    worker_emitted_.resize(workers);
-    worker_claimed_.resize(workers);
-    worker_blocks_.resize(workers);
+    worker_tallies_.resize(workers);
   }
 }
 
-std::span<const Vertex> FrontierEngine::chunk_vertices(
-    const FrontierView& in, std::size_t span, std::size_t c,
-    std::vector<Vertex>& scratch) const {
+FrontierEngine::Chunk FrontierEngine::chunk_at(const FrontierView& in,
+                                               std::size_t span,
+                                               std::size_t c) const {
   const std::uint64_t lo = static_cast<std::uint64_t>(c) * span;
   const std::uint64_t hi =
       std::min<std::uint64_t>(lo + span, g_->num_vertices());
@@ -218,18 +215,17 @@ std::span<const Vertex> FrontierEngine::chunk_vertices(
                                         static_cast<Vertex>(lo));
     const auto end =
         std::lower_bound(begin, list.end(), static_cast<Vertex>(hi));
-    return list.subspan(static_cast<std::size_t>(begin - list.begin()),
-                        static_cast<std::size_t>(end - begin));
+    return {list.subspan(static_cast<std::size_t>(begin - list.begin()),
+                         static_cast<std::size_t>(end - begin)),
+            {},
+            0};
   }
-  // Dense: decode the chunk's words (span is a multiple of 64, so chunk
-  // boundaries are word boundaries) into the caller's scratch.
-  scratch.clear();
+  // Span is a multiple of 64, so chunk boundaries are word boundaries.
   const auto words = in.words();
   const std::size_t w0 = static_cast<std::size_t>(lo >> 6);
   const std::size_t w1 = std::min<std::size_t>(
       static_cast<std::size_t>((hi + 63) >> 6), words.size());
-  detail::decode_bits(words, w0, w1, scratch);
-  return scratch;
+  return {{}, words.subspan(w0, w1 - w0), w0};
 }
 
 void FrontierEngine::occupancy_stats(const FrontierView& in, std::size_t span,
@@ -237,36 +233,10 @@ void FrontierEngine::occupancy_stats(const FrontierView& in, std::size_t span,
                                      std::uint64_t& max_occ) const {
   chunks = 0;
   max_occ = 0;
-  if (!in.dense()) {
-    // Walk the sorted list run by run: one pass, no touch of empty chunks.
-    const auto list = in.list();
-    std::size_t i = 0;
-    while (i < list.size()) {
-      const std::size_t c = list[i] / span;
-      std::size_t occ = 0;
-      while (i < list.size() && list[i] / span == c) {
-        ++occ;
-        ++i;
-      }
-      ++chunks;
-      max_occ = std::max<std::uint64_t>(max_occ, occ);
-    }
-    return;
-  }
-  // Dense: popcount per chunk (span is a multiple of 64, so chunk
-  // boundaries are word boundaries).
-  const auto words = in.words();
-  const std::size_t words_per_chunk = span >> 6;
-  for (std::size_t w0 = 0; w0 < words.size(); w0 += words_per_chunk) {
-    const std::size_t w1 = std::min(words.size(), w0 + words_per_chunk);
-    std::uint64_t occ = 0;
-    for (std::size_t w = w0; w < w1; ++w) {
-      occ += static_cast<std::uint64_t>(std::popcount(words[w]));
-    }
-    if (occ == 0) continue;
+  for_each_chunk(in, span, [&](std::size_t, const Chunk& chunk) {
     ++chunks;
-    max_occ = std::max(max_occ, occ);
-  }
+    max_occ = std::max<std::uint64_t>(max_occ, chunk.size());
+  });
 }
 
 void FrontierEngine::emit_trace(const FrontierView& in, std::size_t produced,
@@ -296,77 +266,26 @@ void FrontierEngine::audit_graph_once() {
   if (!g_->validate(&why)) audit::report_violation("graph-csr", why);
 }
 
-void FrontierEngine::audit_frontier(const Frontier& next, bool dense) {
+void FrontierEngine::audit_round(const std::vector<Vertex>* list,
+                                 std::span<const std::uint64_t> bits,
+                                 std::size_t count, bool dense,
+                                 bool stamped) {
   if (!audit::sample_round(audit_seq_++)) return;
   audit_graph_once();
   const std::size_t n = g_->num_vertices();
   std::string why;
-  if (dense) {
-    if (!audit::check_bitmap(next.bits_, next.count_, n, &why)) {
-      audit::report_violation("bitmap", why);
-    }
-  } else {
-    if (!audit::check_canonical_list(next.list_, n, &why)) {
-      audit::report_violation("canonical-order", why);
-    }
-    if (!audit::check_stamps(next.list_, stamp_, epoch_, &why)) {
-      audit::report_violation("epoch-stamps", why);
-    }
-  }
-}
-
-void FrontierEngine::audit_list(std::span<const Vertex> next, bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (!audit::check_canonical_list(next, n, &why)) {
+  if (list != nullptr && !audit::check_canonical_list(*list, n, &why)) {
     audit::report_violation("canonical-order", why);
   }
-  if (dense) {
-    // The materialized list came from the scratch bitmap — the two must
-    // agree on the count, and the bitmap itself must be healthy.
-    if (!audit::check_bitmap(scratch_bits_, next.size(), n, &why)) {
-      audit::report_violation("bitmap", why);
-    }
-  } else if (!audit::check_stamps(next, stamp_, epoch_, &why)) {
-    audit::report_violation("epoch-stamps", why);
-  }
-}
-
-void FrontierEngine::audit_retain(const Frontier& next, bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (dense) {
-    if (!audit::check_bitmap(next.bits_, next.count_, n, &why)) {
-      audit::report_violation("bitmap", why);
-    }
-  } else {
-    // Retain rounds filter an existing canonical frontier: no vertex is
-    // claimed, so the epoch/stamp record is deliberately untouched and the
-    // expand-path check_stamps would misfire here. Canonical order (which
-    // implies the subset property held) is the whole contract.
-    if (!audit::check_canonical_list(next.list_, n, &why)) {
-      audit::report_violation("canonical-order", why);
-    }
-  }
-}
-
-void FrontierEngine::audit_retain_list(std::span<const Vertex> next,
-                                       bool dense) {
-  if (!audit::sample_round(audit_seq_++)) return;
-  audit_graph_once();
-  const std::size_t n = g_->num_vertices();
-  std::string why;
-  if (!audit::check_canonical_list(next, n, &why)) {
-    audit::report_violation("canonical-order", why);
-  }
-  // Same stamp-check omission as audit_retain; when the round ran dense the
-  // materialized list still must agree with the scratch bitmap.
-  if (dense && !audit::check_bitmap(scratch_bits_, next.size(), n, &why)) {
+  // A materialized list came from the bitmap: the two must agree on the
+  // count, and the bitmap itself must be healthy.
+  if (dense &&
+      !audit::check_bitmap(bits, list != nullptr ? list->size() : count, n,
+                           &why)) {
     audit::report_violation("bitmap", why);
+  }
+  if (stamped && !audit::check_stamps(*list, stamp_, epoch_, &why)) {
+    audit::report_violation("epoch-stamps", why);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/audit.hpp"
@@ -39,10 +40,11 @@
 ///   * sparse rounds dedup offspring against a per-vertex 32-bit epoch
 ///     stamp (one plain store serially, one compare_exchange in parallel)
 ///     and sort the claimed list;
-///   * dense rounds dedup by setting bits with fetch_or on 64-bit bitmap
-///     words — the output is a set materialized in ascending vertex order
-///     by construction, so no sort, no ownership resolution, and ~1/32 of
-///     the stamp path's dedup memory traffic.
+///   * dense rounds dedup by setting bits of 64-bit bitmap words (one
+///     plain store serially, one fetch_or in parallel) — the output is a
+///     set materialized in ascending vertex order by construction, so no
+///     sort, no ownership resolution, and ~1/32 of the stamp path's dedup
+///     memory traffic.
 ///
 /// Determinism contract (mirrors monte_carlo.hpp): a round's randomness is
 /// a pure function of its `round_seed`. The VERTEX-ID SPACE [0, n) is split
@@ -69,14 +71,22 @@
 /// frontier is empty: an extinct process stepped in a loop burns neither
 /// epochs nor bitmap clears.
 ///
-/// Scheduling: chunks are claimed dynamically by a fixed set of workers
-/// (par::parallel_for_chunks), each owning a reusable flat offspring
-/// buffer and a decode scratch for dense input chunks — no per-chunk
-/// allocation in steady state. Pooled and sparse sampling loops
-/// software-prefetch the CSR adjacency row a few vertices ahead (ascending
-/// visit order makes the offsets stream sequential, so only the targets
-/// row needs the hint). The serial dense round decodes nothing: it walks
-/// each chunk's bitmap words in place, in the same ascending order.
+/// Scheduling: every round — expand or retain, sparse or dense output,
+/// serial or pooled — runs the same per-chunk body (`run_round`). The
+/// serial path visits only occupied chunks (a sorted list run by run, a
+/// bitmap skipping all-zero chunks before their stream is seeded); the
+/// pooled path hands chunks out dynamically (par::parallel_for_chunks) to
+/// a fixed set of workers, each owning a reusable flat claim buffer — no
+/// per-chunk allocation in steady state, and no decode scratch: a dense
+/// input chunk's bitmap words are walked in place on both paths. Sorted
+/// list chunks of expand rounds software-prefetch the CSR adjacency row a
+/// few vertices ahead (ascending visit order makes the offsets stream
+/// sequential, so only the targets row needs the hint). How a claim is
+/// stored is a compile-time `Shared` flag of the body, not a per-sample
+/// branch: pooled expand rounds claim with a stamp CAS or a bitmap
+/// fetch_or, serial rounds with plain stores — a lock-prefixed fetch_or
+/// would tax every sample of the many small serial dense rounds that
+/// trial-level Monte-Carlo steps, one engine per trial.
 
 namespace cobra::core {
 
@@ -123,8 +133,7 @@ namespace detail {
 
 /// Append the set bits of `words[first_word, last_word)` to `out` as
 /// vertex ids, ascending — the one bitmap-decode idiom, shared by
-/// Frontier materialization, chunk decoding, and the span-overload
-/// output path.
+/// Frontier materialization and the span-overload output path.
 inline void decode_bits(std::span<const std::uint64_t> words,
                         std::size_t first_word, std::size_t last_word,
                         std::vector<Vertex>& out) {
@@ -304,7 +313,10 @@ class FrontierEngine {
   /// shared state without synchronization.
   template <typename Sampler>
   void expand(const Frontier& frontier, Frontier& next,
-              std::uint64_t round_seed, const Sampler& sampler);
+              std::uint64_t round_seed, const Sampler& sampler) {
+    assert(&frontier != &next);
+    round<true>(FrontierView(frontier), next, round_seed, sampler);
+  }
 
   /// Span-in / vector-out variant for processes that maintain their own
   /// lists (gossip). `frontier` must be sorted ascending and duplicate-free
@@ -313,25 +325,26 @@ class FrontierEngine {
   /// rounds (via the engine's scratch bitmap).
   template <typename Sampler>
   void expand(std::span<const Vertex> frontier, std::vector<Vertex>& next,
-              std::uint64_t round_seed, const Sampler& sampler);
+              std::uint64_t round_seed, const Sampler& sampler) {
+    round<true>(FrontierView(frontier), next, round_seed, sampler);
+  }
 
   /// Filter one round: `next` receives exactly the frontier vertices v with
   /// keep(v) true, in the representation the round's mode picked. This is
   /// the remove-from-frontier path that shrinking processes (greedy MIS,
   /// LLL resampling) step — the dual of expand: no sampling, no dedup (a
-  /// subset of a canonical frontier is canonical), no RNG at all, so the
-  /// output is trivially a pure function of (frontier, keep) regardless of
-  /// thread count or representation. `keep` is shared across worker
+  /// subset of a canonical frontier is canonical), no RNG draws at all, so
+  /// the output is trivially a pure function of (frontier, keep) regardless
+  /// of thread count or representation. `keep` is shared across worker
   /// threads — it must be const-callable on concurrent vertices.
   template <typename Pred>
-  void retain(const Frontier& frontier, Frontier& next, const Pred& keep);
-
-  /// Span-in / vector-out retain for processes that maintain their own
-  /// lists. `frontier` must be sorted ascending and duplicate-free; `next`
-  /// receives the kept vertices ascending (cleared first).
-  template <typename Pred>
-  void retain(std::span<const Vertex> frontier, std::vector<Vertex>& next,
-              const Pred& keep);
+  void retain(const Frontier& frontier, Frontier& next, const Pred& keep) {
+    assert(&frontier != &next);
+    round<false>(FrontierView(frontier), next, 0,
+                 [&keep](Vertex v, ChunkRng&, const auto& sink) {
+                   if (keep(v)) sink(v);
+                 });
+  }
 
   /// Serial dedup of `in` into `out` (reset paths): keeps the first
   /// occurrence of each vertex, preserving order. Shares the stamp array,
@@ -347,7 +360,8 @@ class FrontierEngine {
   /// Mutable knobs — tests pin chunk_size / threshold / pool explicitly.
   [[nodiscard]] FrontierOptions& options() noexcept { return opts_; }
 
-  /// How many expand rounds took each execution path (observability).
+  /// How many rounds (expand and retain) took each execution path
+  /// (observability).
   [[nodiscard]] std::uint64_t parallel_rounds() const noexcept {
     return parallel_rounds_;
   }
@@ -355,7 +369,7 @@ class FrontierEngine {
     return serial_rounds_;
   }
 
-  /// How many expand rounds ran each representation, and how often the
+  /// How many rounds ran each representation, and how often the
   /// representation changed between consecutive rounds (the benches record
   /// all three next to their timings).
   [[nodiscard]] std::uint64_t dense_rounds() const noexcept {
@@ -382,11 +396,12 @@ class FrontierEngine {
   void set_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
 
   /// Total sink() invocations of the most recent expand round — i.e. the
-  /// offspring emitted before dedup. Counted per worker and summed at the
-  /// end (no shared atomic in the sampling loop), so callers whose
-  /// per-vertex emission count is data-dependent (random branching
-  /// schedules) read their work measure here instead of maintaining a
-  /// contended counter inside the sampler.
+  /// offspring emitted before dedup; |frontier| after a retain round (keep
+  /// evaluated once per vertex). Counted per chunk and summed at the end
+  /// (no shared atomic in the sampling loop), so callers whose per-vertex
+  /// emission count is data-dependent (random branching schedules) read
+  /// their work measure here instead of maintaining a contended counter
+  /// inside the sampler.
   [[nodiscard]] std::uint64_t last_emitted() const noexcept {
     return last_emitted_;
   }
@@ -399,13 +414,76 @@ class FrontierEngine {
     return last_switch_reason_;
   }
 
-  /// Batched-RNG blocks drawn during the most recent expand round (summed
-  /// over chunks) — the trace sink's "rng_blocks" field.
+  /// Batched-RNG blocks drawn during the most recent round (summed over
+  /// chunks; 0 after a retain round) — the trace sink's "rng_blocks" field.
   [[nodiscard]] std::uint64_t last_rng_blocks() const noexcept {
     return last_rng_blocks_;
   }
 
  private:
+  /// Per-chunk round counters, summed per worker and then per round.
+  struct Tally {
+    std::uint64_t emitted = 0;     ///< sink() calls
+    std::uint64_t claimed = 0;     ///< bits newly set (dense output)
+    std::uint64_t rng_blocks = 0;  ///< ChunkRng refills
+
+    Tally& operator+=(const Tally& o) noexcept {
+      emitted += o.emitted;
+      claimed += o.claimed;
+      rng_blocks += o.rng_blocks;
+      return *this;
+    }
+  };
+
+  /// One vertex-range chunk of a round's input, in the input's own form:
+  /// a subspan of the sorted list, or the range's bitmap words starting at
+  /// word `first_word` (chunk ranges are word-aligned).
+  struct Chunk {
+    std::span<const Vertex> list;
+    std::span<const std::uint64_t> words;
+    std::size_t first_word = 0;
+
+    [[nodiscard]] bool empty() const noexcept {
+      return list.empty() &&
+             std::all_of(words.begin(), words.end(),
+                         [](std::uint64_t word) { return word == 0; });
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept {
+      std::size_t n = list.size();
+      for (const std::uint64_t word : words) {
+        n += static_cast<std::size_t>(std::popcount(word));
+      }
+      return n;
+    }
+
+    /// f(v) for each active vertex, ascending. Bitmap words are decoded in
+    /// place; a list is walked with the CSR row of the vertex a few places
+    /// ahead prefetched when `Prefetch` (samplers read rows, retain
+    /// predicates need not).
+    template <bool Prefetch, typename F>
+    void for_each(const Graph& g, const F& f) const {
+      constexpr std::size_t kLookahead = 8;
+      [[maybe_unused]] const auto& offsets = g.offsets();
+      [[maybe_unused]] const Vertex* targets = g.targets().data();
+      for (std::size_t i = 0; i < list.size(); ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+        if (Prefetch && i + kLookahead < list.size()) {
+          __builtin_prefetch(targets + offsets[list[i + kLookahead]]);
+        }
+#endif
+        f(list[i]);
+      }
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        const std::size_t base = (first_word + i) << 6;
+        for (std::uint64_t word = words[i]; word != 0; word &= word - 1) {
+          const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+          f(static_cast<Vertex>(base + bit));
+        }
+      }
+    }
+  };
+
   /// Advance the epoch, wiping stamps on 32-bit wrap (the aliasing guard).
   std::uint32_t advance_epoch();
 
@@ -454,12 +532,41 @@ class FrontierEngine {
   void materialize_bits(std::span<const std::uint64_t> words,
                         std::size_t count, std::vector<Vertex>& out);
 
-  /// Active vertices of vertex-range chunk c, ascending. Sparse views
-  /// return a subspan located by binary search; dense views decode the
-  /// chunk's words into `scratch`.
-  [[nodiscard]] std::span<const Vertex> chunk_vertices(
-      const FrontierView& in, std::size_t span, std::size_t c,
-      std::vector<Vertex>& scratch) const;
+  /// Chunk c of `in`, possibly empty: a list subspan located by binary
+  /// search, or the chunk's bitmap words (the pooled rounds' lookup).
+  [[nodiscard]] Chunk chunk_at(const FrontierView& in, std::size_t span,
+                               std::size_t c) const;
+
+  /// f(c, chunk) for every chunk of `in` holding active vertices,
+  /// ascending: a sorted list run by run (a 24-vertex ring frontier
+  /// touches 1-2 chunks, not n/span), a bitmap skipping all-zero chunks —
+  /// so a serial round seeds no stream for an empty chunk.
+  template <typename F>
+  void for_each_chunk(const FrontierView& in, std::size_t span,
+                      const F& f) const {
+    if (!in.dense()) {
+      const auto list = in.list();
+      for (std::size_t i = 0; i < list.size();) {
+        const std::size_t c = list[i] / span;
+        const auto limit = static_cast<Vertex>(
+            std::min<std::uint64_t>((c + 1) * span, g_->num_vertices()));
+        const auto end = static_cast<std::size_t>(
+            std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(i),
+                             list.end(), limit) -
+            list.begin());
+        f(c, Chunk{list.subspan(i, end - i), {}, 0});
+        i = end;
+      }
+      return;
+    }
+    const auto words = in.words();
+    const std::size_t chunk_words = span / 64;
+    for (std::size_t c = 0, w0 = 0; w0 < words.size(); ++c, w0 += chunk_words) {
+      const Chunk chunk{
+          {}, words.subspan(w0, std::min(chunk_words, words.size() - w0)), w0};
+      if (!chunk.empty()) f(c, chunk);
+    }
+  }
 
   /// Read-only load-imbalance scan for the trace sink: how many vertex
   /// chunks hold active vertices and how full the fullest is. O(|frontier|)
@@ -472,106 +579,36 @@ class FrontierEngine {
   void emit_trace(const FrontierView& in, std::size_t produced, bool dense,
                   const obs::Stopwatch& watch);
 
-  /// Invariant audits of a finished round's output (call sites gate on
-  /// audit::enabled(), the one relaxed load). Sampling policy and the
-  /// checks themselves live in core/audit.*; these adapters hand them the
-  /// engine's private state (stamps, epoch, scratch bitmap).
-  void audit_frontier(const Frontier& next, bool dense);
-  void audit_list(std::span<const Vertex> next, bool dense);
-  /// Retain-round variants: removal rounds never claim vertices, so the
-  /// epoch/stamp record is untouched and the expand-path stamp check would
-  /// misfire on them — these check canonical order / bitmap health only.
-  void audit_retain(const Frontier& next, bool dense);
-  void audit_retain_list(std::span<const Vertex> next, bool dense);
+  /// Invariant audit of a finished round's output (the call site gates on
+  /// audit::enabled(), the one relaxed load; sampling policy and the checks
+  /// live in core/audit.*). Canonical order whenever there is a `list`;
+  /// when `dense`, the bitmap `bits` against the list's size, or against
+  /// `count` without a list; epoch stamps when `stamped` — sparse expand
+  /// rounds only: a retain claims no vertices, so no stamp carries the
+  /// current epoch and the check would misfire.
+  void audit_round(const std::vector<Vertex>* list,
+                   std::span<const std::uint64_t> bits, std::size_t count,
+                   bool dense, bool stamped);
   void audit_graph_once();
 
-  /// Drive `sampler` over one chunk's active vertices with CSR row
-  /// prefetch a few vertices ahead.
-  template <typename Sampler, typename Sink>
-  void process_run(std::span<const Vertex> vs, ChunkRng& rng,
-                   const Sampler& sampler, const Sink& sink) const {
-    constexpr std::size_t kLookahead = 8;
-    [[maybe_unused]] const auto& offsets = g_->offsets();
-    [[maybe_unused]] const Vertex* targets = g_->targets().data();
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-      if (i + kLookahead < vs.size()) {
-        __builtin_prefetch(targets + offsets[vs[i + kLookahead]]);
-      }
-#endif
-      sampler(vs[i], rng, sink);
-    }
-  }
+  /// One round of any kind, from the empty-input early return to the
+  /// audit and trace: picks the representation, runs run_round into
+  /// `out` (a Frontier, or a vector materialized from the scratch bitmap
+  /// after a dense round), and books the counters.
+  template <bool Dedup, typename Out, typename Emit>
+  void round(const FrontierView& in, Out& out, std::uint64_t round_seed,
+             const Emit& emit);
 
-  /// Serial in-line visit of every chunk with active vertices. For sparse
-  /// input this walks the sorted list run by run (no scan over empty
-  /// chunks — a 24-vertex ring frontier touches 1-2 chunks, not n/span);
-  /// dense input walks the bitmap words in place, skipping all-zero chunks
-  /// before their RNG is seeded and visiting set bits ascending.
-  template <typename Sampler, typename Sink>
-  void serial_visit(const FrontierView& in, std::size_t span,
-                    std::uint64_t round_seed, const Sampler& sampler,
-                    const Sink& sink) {
-    if (!in.dense()) {
-      const auto list = in.list();
-      std::size_t i = 0;
-      while (i < list.size()) {
-        const std::size_t c = list[i] / span;
-        const auto limit = static_cast<Vertex>(
-            std::min<std::uint64_t>((c + 1) * span, g_->num_vertices()));
-        const auto end = static_cast<std::size_t>(
-            std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(i),
-                             list.end(), limit) -
-            list.begin());
-        ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-        process_run(list.subspan(i, end - i), rng, sampler, sink);
-        last_rng_blocks_ += rng.refills();
-        i = end;
-      }
-      return;
-    }
-    const auto words = in.words();
-    const std::size_t chunk_words = span / 64;
-    for (std::size_t c = 0, w0 = 0; w0 < words.size(); ++c, w0 += chunk_words) {
-      const std::size_t w1 = std::min(w0 + chunk_words, words.size());
-      const auto chunk = words.subspan(w0, w1 - w0);
-      if (std::all_of(chunk.begin(), chunk.end(),
-                      [](std::uint64_t word) { return word == 0; })) {
-        continue;
-      }
-      ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-      for (std::size_t w = w0; w < w1; ++w) {
-        for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
-          const auto v = static_cast<Vertex>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-          sampler(v, rng, sink);
-        }
-      }
-      last_rng_blocks_ += rng.refills();
-    }
-  }
-
-  /// One sparse round into `out` (unsorted claims, sorted before return).
-  template <typename Sampler>
-  void expand_sparse(const FrontierView& in, std::vector<Vertex>& out,
-                     std::uint64_t round_seed, const Sampler& sampler);
-
-  /// One dense round into `out_bits` / `out_count`.
-  template <typename Sampler>
-  void expand_dense(const FrontierView& in, std::vector<std::uint64_t>& out_bits,
-                    std::size_t& out_count, std::uint64_t round_seed,
-                    const Sampler& sampler);
-
-  /// One sparse retain round into `out` (ascending by construction).
-  template <typename Pred>
-  void retain_sparse(const FrontierView& in, std::vector<Vertex>& out,
-                     const Pred& keep);
-
-  /// One dense retain round into `out_bits` / `out_count`.
-  template <typename Pred>
-  void retain_dense(const FrontierView& in,
-                    std::vector<std::uint64_t>& out_bits,
-                    std::size_t& out_count, const Pred& keep);
+  /// The one round driver: every occupied chunk of `in` runs the same
+  /// per-chunk body — seed derive_seed(round_seed, c), walk the chunk's
+  /// vertices ascending through emit(v, rng, sink), claim each sunk
+  /// vertex — on the calling thread or over the pool. Output goes to
+  /// `words` (Dense) or `list` (sorted before return unless a serial
+  /// retain left it ascending already); returns the output's size.
+  template <bool Dense, bool Dedup, typename Emit>
+  std::size_t run_round(const FrontierView& in, std::vector<Vertex>& list,
+                        std::vector<std::uint64_t>& words,
+                        std::uint64_t round_seed, const Emit& emit);
 
   const Graph* g_;
   FrontierOptions opts_;
@@ -581,11 +618,8 @@ class FrontierEngine {
   bool have_mode_ = false;   ///< false until the first non-empty round
   std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
   // Reusable flat per-worker state (sized once, cleared per round).
-  std::vector<std::vector<Vertex>> worker_lists_;    ///< sparse claims
-  std::vector<std::vector<Vertex>> worker_decode_;   ///< dense-input decode
-  std::vector<std::uint64_t> worker_emitted_;
-  std::vector<std::uint64_t> worker_claimed_;
-  std::vector<std::uint64_t> worker_blocks_;  ///< per-worker RNG refills
+  std::vector<std::vector<Vertex>> worker_lists_;  ///< sparse claims
+  std::vector<Tally> worker_tallies_;
   std::uint64_t parallel_rounds_ = 0;
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t dense_rounds_ = 0;
@@ -601,296 +635,123 @@ class FrontierEngine {
   bool audit_graph_checked_ = false;  ///< CSR validated once per engine
 };
 
-template <typename Sampler>
-void FrontierEngine::expand_sparse(const FrontierView& in,
-                                   std::vector<Vertex>& out,
-                                   std::uint64_t round_seed,
-                                   const Sampler& sampler) {
+template <bool Dense, bool Dedup, typename Emit>
+std::size_t FrontierEngine::run_round(const FrontierView& in,
+                                      std::vector<Vertex>& list,
+                                      std::vector<std::uint64_t>& words,
+                                      std::uint64_t round_seed,
+                                      const Emit& emit) {
   const std::size_t span = chunk_span();
   const std::size_t n_chunks =
       (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  const std::uint32_t epoch = advance_epoch();
+  const std::uint32_t epoch = Dedup && !Dense ? advance_epoch() : 0;
   par::ThreadPool* pool = pick_pool(in.size());
-  last_rng_blocks_ = 0;
+  if constexpr (Dense) clear_words(words, pool);  // may reallocate
+  std::uint64_t* bits = words.data();
 
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
+  // The per-chunk body. `shared` (a std::bool_constant) says whether other
+  // workers claim concurrently: pooled expand rounds then CAS the stamp or
+  // fetch_or the word; serial rounds, and every retain (it sets only its
+  // own chunk's bits, and chunks are word-aligned), keep plain stores.
+  const auto visit = [&](auto shared, std::size_t c, const Chunk& chunk,
+                         std::vector<Vertex>& claims, Tally& tally) {
+    ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
     std::uint64_t emitted = 0;
+    std::uint64_t claimed = 0;
     const auto sink = [&](Vertex u) {
       ++emitted;
-      if (stamp_[u] != epoch) {
+      if constexpr (Dense) {
+        const std::uint64_t bit = 1ULL << (u & 63);
+        std::uint64_t old;
+        if constexpr (decltype(shared)::value && Dedup) {
+          old = std::atomic_ref<std::uint64_t>(bits[u >> 6])
+                    .fetch_or(bit, std::memory_order_relaxed);
+        } else {
+          old = bits[u >> 6];
+          bits[u >> 6] = old | bit;
+        }
+        claimed += (old & bit) == 0;
+      } else if constexpr (!Dedup) {
+        claims.push_back(u);  // a subset of a canonical frontier: no dedup
+      } else if constexpr (decltype(shared)::value) {
+        std::atomic_ref<std::uint32_t> cell(stamp_[u]);
+        std::uint32_t cur = cell.load(std::memory_order_relaxed);
+        // One strong CAS suffices: every contending write this round
+        // installs the same epoch value, so failure == already claimed.
+        if (cur != epoch &&
+            cell.compare_exchange_strong(cur, epoch,
+                                         std::memory_order_relaxed)) {
+          claims.push_back(u);
+        }
+      } else if (stamp_[u] != epoch) {
         stamp_[u] = epoch;
-        out.push_back(u);
+        claims.push_back(u);
       }
     };
-    serial_visit(in, span, round_seed, sampler, sink);
-    last_emitted_ = emitted;
+    chunk.for_each<Dedup>(*g_, [&](Vertex v) { emit(v, rng, sink); });
+    tally += Tally{emitted, claimed, rng.refills()};
+  };
+
+  Tally total;
+  last_parallel_ = pool != nullptr && n_chunks > 1;
+  if (!last_parallel_) {
+    ++serial_rounds_;
+    for_each_chunk(in, span, [&](std::size_t c, const Chunk& chunk) {
+      visit(std::false_type{}, c, chunk, list, total);
+    });
   } else {
     ++parallel_rounds_;
-    last_parallel_ = true;
     const std::size_t workers = std::min(pool->size(), n_chunks);
     ensure_workers(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       worker_lists_[w].clear();
-      worker_emitted_[w] = 0;
-      worker_blocks_[w] = 0;
+      worker_tallies_[w] = {};
     }
     par::parallel_for_chunks(
         *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          if (vs.empty()) return;
-          ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-          auto& claims = worker_lists_[w];
-          std::uint64_t emitted = 0;
-          const auto sink = [&](Vertex u) {
-            ++emitted;
-            std::atomic_ref<std::uint32_t> cell(stamp_[u]);
-            std::uint32_t cur = cell.load(std::memory_order_relaxed);
-            // One strong CAS suffices: every contending write this round
-            // installs the same epoch value, so failure == already claimed.
-            if (cur != epoch &&
-                cell.compare_exchange_strong(cur, epoch,
-                                             std::memory_order_relaxed)) {
-              claims.push_back(u);
-            }
-          };
-          process_run(vs, rng, sampler, sink);
-          worker_emitted_[w] += emitted;
-          worker_blocks_[w] += rng.refills();
+          const Chunk chunk = chunk_at(in, span, c);
+          if (!chunk.empty()) {
+            visit(std::true_type{}, c, chunk, worker_lists_[w],
+                  worker_tallies_[w]);
+          }
         });
-    std::uint64_t emitted = 0;
-    std::size_t total = 0;
+    std::size_t claims = 0;
     for (std::size_t w = 0; w < workers; ++w) {
-      emitted += worker_emitted_[w];
-      total += worker_lists_[w].size();
-      last_rng_blocks_ += worker_blocks_[w];
+      total += worker_tallies_[w];
+      claims += worker_lists_[w].size();
     }
-    out.reserve(out.size() + total);
+    list.reserve(list.size() + claims);
     for (std::size_t w = 0; w < workers; ++w) {
-      out.insert(out.end(), worker_lists_[w].begin(), worker_lists_[w].end());
+      list.insert(list.end(), worker_lists_[w].begin(), worker_lists_[w].end());
     }
-    last_emitted_ = emitted;
   }
   // Canonical ascending order: what makes the result independent of both
-  // the schedule (claim sets are schedule-independent) and the
-  // representation (the dense path is ascending by construction).
-  std::sort(out.begin(), out.end());
+  // the schedule (claim sets are schedule-independent; pooled chunks are
+  // taken dynamically, so worker lists interleave) and the representation
+  // (the dense path is ascending by construction). A serial retain's
+  // filtered copy of an ascending input is ascending already.
+  if (!Dense && (Dedup || last_parallel_)) std::sort(list.begin(), list.end());
+  last_emitted_ = Dedup ? total.emitted : in.size();
+  last_rng_blocks_ = total.rng_blocks;
+  return Dense ? static_cast<std::size_t>(total.claimed) : list.size();
 }
 
-template <typename Sampler>
-void FrontierEngine::expand_dense(const FrontierView& in,
-                                  std::vector<std::uint64_t>& out_bits,
-                                  std::size_t& out_count,
-                                  std::uint64_t round_seed,
-                                  const Sampler& sampler) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  clear_words(out_bits, pool);  // the round's one O(n/64) clear
-  last_rng_blocks_ = 0;
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
-    std::uint64_t emitted = 0;
-    std::size_t claimed = 0;
-    std::uint64_t* bits = out_bits.data();
-    const auto sink = [&](Vertex u) {
-      ++emitted;
-      std::uint64_t& word = bits[u >> 6];
-      const std::uint64_t bit = 1ULL << (u & 63);
-      claimed += (word & bit) == 0;
-      word |= bit;
-    };
-    serial_visit(in, span, round_seed, sampler, sink);
-    last_emitted_ = emitted;
-    out_count = claimed;
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      worker_emitted_[w] = 0;
-      worker_claimed_[w] = 0;
-      worker_blocks_[w] = 0;
-    }
-    std::uint64_t* bits = out_bits.data();
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          if (vs.empty()) return;
-          ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
-          std::uint64_t emitted = 0;
-          std::uint64_t claimed = 0;
-          const auto sink = [&](Vertex u) {
-            ++emitted;
-            std::atomic_ref<std::uint64_t> word(bits[u >> 6]);
-            const std::uint64_t bit = 1ULL << (u & 63);
-            const std::uint64_t old =
-                word.fetch_or(bit, std::memory_order_relaxed);
-            claimed += (old & bit) == 0;
-          };
-          process_run(vs, rng, sampler, sink);
-          worker_emitted_[w] += emitted;
-          worker_claimed_[w] += claimed;
-          worker_blocks_[w] += rng.refills();
-        });
-    std::uint64_t emitted = 0;
-    std::size_t claimed = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      emitted += worker_emitted_[w];
-      claimed += worker_claimed_[w];
-      last_rng_blocks_ += worker_blocks_[w];
-    }
-    last_emitted_ = emitted;
-    out_count = claimed;
-  }
-}
-
-template <typename Pred>
-void FrontierEngine::retain_sparse(const FrontierView& in,
-                                   std::vector<Vertex>& out,
-                                   const Pred& keep) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  last_rng_blocks_ = 0;
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
-    if (!in.dense()) {
-      // The input list is already ascending; a filtered copy stays so.
-      for (const Vertex v : in.list()) {
-        if (keep(v)) out.push_back(v);
-      }
-    } else {
-      const auto words = in.words();
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t word = words[w];
-        while (word != 0) {
-          const auto v = static_cast<Vertex>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-          if (keep(v)) out.push_back(v);
-          word &= word - 1;
-        }
-      }
-    }
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) worker_lists_[w].clear();
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          auto& kept = worker_lists_[w];
-          for (const Vertex v : vs) {
-            if (keep(v)) kept.push_back(v);
-          }
-        });
-    std::size_t total = 0;
-    for (std::size_t w = 0; w < workers; ++w) total += worker_lists_[w].size();
-    out.reserve(out.size() + total);
-    for (std::size_t w = 0; w < workers; ++w) {
-      out.insert(out.end(), worker_lists_[w].begin(), worker_lists_[w].end());
-    }
-    // Chunks are claimed dynamically, so worker lists interleave chunk
-    // ranges; the sort restores the canonical ascending order. The kept
-    // SET is schedule-independent (keep draws no RNG), so the sorted
-    // result is bit-identical to the serial path.
-    std::sort(out.begin(), out.end());
-  }
-  // The work measure: keep() evaluated once per frontier vertex.
-  last_emitted_ = in.size();
-}
-
-template <typename Pred>
-void FrontierEngine::retain_dense(const FrontierView& in,
-                                  std::vector<std::uint64_t>& out_bits,
-                                  std::size_t& out_count, const Pred& keep) {
-  const std::size_t span = chunk_span();
-  const std::size_t n_chunks =
-      (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  par::ThreadPool* pool = pick_pool(in.size());
-  clear_words(out_bits, pool);  // may reallocate — take .data() after
-  last_rng_blocks_ = 0;
-  std::uint64_t* bits = out_bits.data();
-
-  if (pool == nullptr || n_chunks <= 1) {
-    ++serial_rounds_;
-    last_parallel_ = false;
-    std::size_t kept = 0;
-    const auto mark = [&](Vertex v) {
-      if (keep(v)) {
-        bits[v >> 6] |= 1ULL << (v & 63);
-        ++kept;
-      }
-    };
-    if (!in.dense()) {
-      for (const Vertex v : in.list()) mark(v);
-    } else {
-      const auto words = in.words();
-      for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t word = words[w];
-        while (word != 0) {
-          mark(static_cast<Vertex>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
-    }
-    out_count = kept;
-  } else {
-    ++parallel_rounds_;
-    last_parallel_ = true;
-    const std::size_t workers = std::min(pool->size(), n_chunks);
-    ensure_workers(workers);
-    for (std::size_t w = 0; w < workers; ++w) worker_claimed_[w] = 0;
-    par::parallel_for_chunks(
-        *pool, n_chunks, workers, [&](std::size_t w, std::size_t c) {
-          const auto vs = chunk_vertices(in, span, c, worker_decode_[w]);
-          std::uint64_t kept = 0;
-          // Chunk ranges are word-aligned and a retain only sets bits of
-          // its own chunk's vertices, so workers own disjoint words —
-          // plain stores, no fetch_or.
-          for (const Vertex v : vs) {
-            if (keep(v)) {
-              bits[v >> 6] |= 1ULL << (v & 63);
-              ++kept;
-            }
-          }
-          worker_claimed_[w] += kept;
-        });
-    std::size_t kept = 0;
-    for (std::size_t w = 0; w < workers; ++w) {
-      kept += static_cast<std::size_t>(worker_claimed_[w]);
-    }
-    out_count = kept;
-  }
-  last_emitted_ = in.size();
-}
-
-template <typename Sampler>
-void FrontierEngine::expand(const Frontier& frontier, Frontier& next,
-                            std::uint64_t round_seed, const Sampler& sampler) {
-  assert(&frontier != &next);
-  next.clear();
+template <bool Dedup, typename Out, typename Emit>
+void FrontierEngine::round(const FrontierView& in, Out& out,
+                           std::uint64_t round_seed, const Emit& emit) {
+  constexpr bool kFrontier = std::is_same_v<Out, Frontier>;
+  out.clear();
   last_emitted_ = 0;
-  if (frontier.empty()) return;  // no epoch/bitmap burn for extinct processes
+  if (in.size() == 0) return;  // no epoch/bitmap burn for extinct processes
 
   // Advance the chaos round clock (event-log context for fault firings).
   // Gated on the fault registry's relaxed load — free in fault-free runs.
   if (util::fault::enabled()) util::fault::tick_round();
 
 #if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& step_timer = obs::registry().timer("frontier.step");
-  obs::ScopedTimer timed(step_timer);
+  static obs::Timer& timer =
+      obs::registry().timer(Dedup ? "frontier.step" : "frontier.retain");
+  obs::ScopedTimer timed(timer);
 #endif
   // One relaxed load when untraced; everything trace-priced (occupancy
   // scan, clock reads) stays behind it. Telemetry reads state only — the
@@ -899,113 +760,33 @@ void FrontierEngine::expand(const Frontier& frontier, Frontier& next,
   obs::Stopwatch watch;
   if (traced) watch.start();
 
-  const FrontierView in(frontier);
-  bool dense = choose_dense(in.size(), next.bits_);
-  if (dense) {
-    expand_dense(in, next.bits_, next.count_, round_seed, sampler);
-    next.dense_ = true;
-    next.list_valid_ = false;  // materialized lazily by vertices()
+  std::vector<Vertex>* list;
+  std::vector<std::uint64_t>* bits;
+  if constexpr (kFrontier) {
+    list = &out.list_;
+    bits = &out.bits_;
   } else {
-    expand_sparse(in, next.list_, round_seed, sampler);
-    next.count_ = next.list_.size();
+    list = &out;
+    bits = &scratch_bits_;
+  }
+  const bool dense = choose_dense(in.size(), *bits);
+  const std::size_t count =
+      dense ? run_round<true, Dedup>(in, *list, *bits, round_seed, emit)
+            : run_round<false, Dedup>(in, *list, *bits, round_seed, emit);
+  if constexpr (kFrontier) {
+    out.count_ = count;
+    out.dense_ = dense;
+    out.list_valid_ = !dense;  // materialized lazily by vertices()
+    if (dense) list = nullptr;
+  } else if (dense) {
+    materialize_bits(*bits, count, out);
   }
   // One relaxed load when unarmed, mirroring fault/trace; the sampled
   // checks read the produced frontier only, never mutate it.
-  if (audit::enabled()) audit_frontier(next, dense);
-  if (traced) emit_trace(in, next.count_, dense, watch);
-}
-
-template <typename Sampler>
-void FrontierEngine::expand(std::span<const Vertex> frontier,
-                            std::vector<Vertex>& next,
-                            std::uint64_t round_seed, const Sampler& sampler) {
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& step_timer = obs::registry().timer("frontier.step");
-  obs::ScopedTimer timed(step_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);  // asserts sortedness in debug builds
-  bool dense = choose_dense(in.size(), scratch_bits_);
-  if (dense) {
-    std::size_t count = 0;
-    expand_dense(in, scratch_bits_, count, round_seed, sampler);
-    materialize_bits(scratch_bits_, count, next);
-  } else {
-    expand_sparse(in, next, round_seed, sampler);
+  if (audit::enabled()) {
+    audit_round(list, *bits, count, dense, Dedup && !dense);
   }
-  if (audit::enabled()) audit_list(next, dense);
-  if (traced) emit_trace(in, next.size(), dense, watch);
-}
-
-template <typename Pred>
-void FrontierEngine::retain(const Frontier& frontier, Frontier& next,
-                            const Pred& keep) {
-  assert(&frontier != &next);
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& retain_timer = obs::registry().timer("frontier.retain");
-  obs::ScopedTimer timed(retain_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);
-  bool dense = choose_dense(in.size(), next.bits_);
-  if (dense) {
-    retain_dense(in, next.bits_, next.count_, keep);
-    next.dense_ = true;
-    next.list_valid_ = false;
-  } else {
-    retain_sparse(in, next.list_, keep);
-    next.count_ = next.list_.size();
-  }
-  if (audit::enabled()) audit_retain(next, dense);
-  if (traced) emit_trace(in, next.count_, dense, watch);
-}
-
-template <typename Pred>
-void FrontierEngine::retain(std::span<const Vertex> frontier,
-                            std::vector<Vertex>& next, const Pred& keep) {
-  next.clear();
-  last_emitted_ = 0;
-  if (frontier.empty()) return;
-
-  if (util::fault::enabled()) util::fault::tick_round();
-
-#if COBRA_OBS_LEVEL >= 1
-  static obs::Timer& retain_timer = obs::registry().timer("frontier.retain");
-  obs::ScopedTimer timed(retain_timer);
-#endif
-  const bool traced = obs::trace_enabled();
-  obs::Stopwatch watch;
-  if (traced) watch.start();
-
-  const FrontierView in(frontier);  // asserts sortedness in debug builds
-  bool dense = choose_dense(in.size(), scratch_bits_);
-  if (dense) {
-    std::size_t count = 0;
-    retain_dense(in, scratch_bits_, count, keep);
-    materialize_bits(scratch_bits_, count, next);
-  } else {
-    retain_sparse(in, next, keep);
-  }
-  if (audit::enabled()) audit_retain_list(next, dense);
-  if (traced) emit_trace(in, next.size(), dense, watch);
+  if (traced) emit_trace(in, count, dense, watch);
 }
 
 }  // namespace cobra::core

@@ -16,7 +16,7 @@
 ///     iteration cost varies wildly (e.g. cover-time trials whose length is
 ///     itself the random variable under study).
 ///   * parallel_for_chunks — dynamic claiming with stable worker ids; best
-///     when workers carry reusable scratch (buffers, decode space) across
+///     when workers carry reusable scratch (claim buffers, tallies) across
 ///     the chunks they claim — the FrontierEngine's range-chunk schedule.
 ///
 /// Exceptions thrown by the body are captured and rethrown (first one wins)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -122,9 +123,26 @@ class FirstVisitTimes {
     w.u64(rounds_);
     w.u64_span(first_);
   }
-  void restore_state(util::CheckpointReader& r) {
-    rounds_ = r.u64();
-    first_ = r.u64_span();
+  /// Validated against the process: a snapshot taken on another graph
+  /// (wrong length) or a corrupt entry (a first visit after the saved
+  /// round) throws util::CheckpointError instead of being trusted.
+  template <Process P>
+  void restore_state(util::CheckpointReader& r, const P& p) {
+    const std::uint64_t rounds = r.u64();
+    std::vector<std::uint64_t> first = r.u64_span();
+    if (first.size() != static_cast<std::size_t>(p.n())) {
+      throw util::CheckpointError(
+          "FirstVisitTimes: " + std::to_string(first.size()) +
+          " vertices in snapshot, process has " + std::to_string(p.n()));
+    }
+    if (std::any_of(first.begin(), first.end(), [rounds](std::uint64_t t) {
+          return t != kNever && t > rounds;
+        })) {
+      throw util::CheckpointError(
+          "FirstVisitTimes: first visit after the snapshot's round");
+    }
+    rounds_ = rounds;
+    first_ = std::move(first);
   }
 
  private:

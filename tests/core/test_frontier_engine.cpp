@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -461,6 +464,146 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
   EXPECT_EQ(unhinted.serial_rounds(), 1u);
   EXPECT_EQ(unhinted.parallel_rounds(), 0u);
 }
+
+/// Which public round entry point a counter case steps.
+enum class RoundKind { ExpandFrontier, ExpandVector, Retain };
+
+/// Sampler with a data-dependent branching factor (1-3 offspring) that
+/// tallies its own sink calls: the independent count last_emitted() is
+/// checked against. Shared across workers, hence the atomic tally.
+struct CountingSampler {
+  const Graph* g;
+  NeighborSampler pick;
+  std::atomic<std::uint64_t>* calls;
+  template <typename Rng, typename Sink>
+  void operator()(Vertex v, Rng& rng, Sink&& sink) const {
+    const auto nbrs = g->neighbors(v);
+    const std::uint64_t k = 1 + v % 3;
+    for (std::uint64_t i = 0; i < k; ++i) sink(pick(nbrs, rng));
+    calls->fetch_add(k, std::memory_order_relaxed);
+  }
+};
+
+/// Per-round record of one engine run: the output frontier and the
+/// engine's counters next to their independent references.
+struct CountedRun {
+  std::vector<std::vector<Vertex>> outputs;
+  std::vector<std::uint64_t> emitted;   ///< last_emitted()
+  std::vector<std::uint64_t> expected;  ///< sink calls, or |frontier|
+  std::vector<std::uint64_t> rng_blocks;
+  std::uint64_t serial_rounds = 0;
+  std::uint64_t parallel_rounds = 0;
+};
+
+CountedRun run_counted(const Graph& g, RoundKind kind, FrontierMode mode,
+                       par::ThreadPool* pool, std::uint64_t rounds) {
+  FrontierOptions opts;
+  opts.chunk_size = kChunk;
+  opts.mode = mode;
+  opts.pool = pool;
+  opts.parallel_threshold = pool != nullptr ? 1 : static_cast<std::size_t>(-1);
+  FrontierEngine engine(g, opts);
+  std::atomic<std::uint64_t> calls{0};
+  const CountingSampler sampler{&g, NeighborSampler(g), &calls};
+  std::vector<Vertex> list;
+  for (Vertex v = 0; v < g.num_vertices(); v += 3) list.push_back(v);
+  Frontier frontier, next;
+  engine.dedupe(list, frontier);
+  std::vector<Vertex> out;
+  CountedRun run;
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    calls = 0;
+    const std::uint64_t seed = 0xC0DE0000ULL + r;
+    const std::size_t in_size = frontier.size();
+    switch (kind) {
+      case RoundKind::ExpandFrontier:
+        engine.expand(frontier, next, seed, sampler);
+        break;
+      case RoundKind::ExpandVector:
+        engine.expand(list, out, seed, sampler);
+        list.swap(out);
+        break;
+      case RoundKind::Retain:
+        engine.retain(frontier, next, [r](Vertex v) {
+          return (v + static_cast<Vertex>(r)) % 4 != 0;
+        });
+        break;
+    }
+    if (kind != RoundKind::ExpandVector) {
+      frontier.swap(next);
+      // Decode from a view, not vertices(): a cached list would hide the
+      // dense-input walk from the next round.
+      const FrontierView view(frontier);
+      list.assign(view.list().begin(), view.list().end());
+      if (view.dense()) {
+        detail::decode_bits(view.words(), 0, view.words().size(), list);
+      }
+    }
+    run.outputs.push_back(list);
+    run.emitted.push_back(engine.last_emitted());
+    run.expected.push_back(kind == RoundKind::Retain ? in_size : calls.load());
+    run.rng_blocks.push_back(engine.last_rng_blocks());
+  }
+  run.serial_rounds = engine.serial_rounds();
+  run.parallel_rounds = engine.parallel_rounds();
+  return run;
+}
+
+/// (round kind, representation, pooled on a pool of 2).
+using CounterCase = std::tuple<RoundKind, FrontierMode, bool>;
+class FrontierCounters : public ::testing::TestWithParam<CounterCase> {};
+
+TEST_P(FrontierCounters, EmittedRngBlocksAndPathCountsArePinned) {
+  const auto [kind, mode, pooled] = GetParam();
+  Engine graph_gen(36);
+  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  constexpr std::uint64_t kRounds = 4;
+  par::ThreadPool pool(2);
+  const CountedRun run =
+      run_counted(g, kind, mode, pooled ? &pool : nullptr, kRounds);
+  const CountedRun serial = run_counted(g, kind, mode, nullptr, kRounds);
+  // Every output is compared with the Frontier-overload expand, so the
+  // vector overload is pinned to Frontier::vertices() as well.
+  const CountedRun reference =
+      kind == RoundKind::Retain
+          ? serial
+          : run_counted(g, RoundKind::ExpandFrontier, mode, nullptr, kRounds);
+
+  EXPECT_EQ(run.outputs, reference.outputs);
+  EXPECT_EQ(run.emitted, run.expected);
+  EXPECT_EQ(run.rng_blocks, serial.rng_blocks);
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_GT(run.emitted[r], 0u);
+    if (kind == RoundKind::Retain) {
+      EXPECT_EQ(run.rng_blocks[r], 0u);
+    } else {
+      EXPECT_GT(run.rng_blocks[r], 0u);
+    }
+  }
+  EXPECT_EQ(run.parallel_rounds, pooled ? kRounds : 0u);
+  EXPECT_EQ(run.serial_rounds, pooled ? 0u : kRounds);
+}
+
+std::string counter_case_name(
+    const ::testing::TestParamInfo<FrontierCounters::ParamType>& info) {
+  const auto [kind, mode, pooled] = info.param;
+  static constexpr const char* kKinds[] = {"ExpandFrontier", "ExpandVector",
+                                           "Retain"};
+  return std::string(kKinds[static_cast<int>(kind)]) +
+         (mode == FrontierMode::ForceDense ? "Dense" : "Sparse") +
+         (pooled ? "Pool2" : "Serial");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRoundKinds, FrontierCounters,
+    ::testing::Combine(::testing::Values(RoundKind::ExpandFrontier,
+                                         RoundKind::ExpandVector,
+                                         RoundKind::Retain),
+                       ::testing::Values(FrontierMode::ForceSparse,
+                                         FrontierMode::ForceDense),
+                       ::testing::Bool()),
+    counter_case_name);
 
 TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
   const Graph g = make_cycle(8);

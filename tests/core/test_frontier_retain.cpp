@@ -1,8 +1,9 @@
 /// Tests for the engine's remove-from-frontier path (FrontierEngine::retain):
 /// pure predicate filtering with canonical output, bit-identity across
-/// thread counts and representations, the span overload, and the dedicated
-/// removal-round audit (retain claims no vertices, so the expand path's
-/// epoch/stamp check must NOT fire).
+/// thread counts and representations, and the removal-round audit (retain
+/// claims no vertices, so the expand path's epoch/stamp check must NOT
+/// fire). Its counters (last_emitted, last_rng_blocks, path counts) are
+/// pinned by test_frontier_engine's FrontierCounters suite.
 
 #include "core/frontier_engine.hpp"
 
@@ -138,24 +139,6 @@ TEST(FrontierRetain, BitIdenticalAcrossThreadCountsBothModes) {
           << threads << " threads, dense=" << (mode == FrontierMode::ForceDense);
     }
   }
-}
-
-TEST(FrontierRetain, SpanOverloadAgreesWithFrontierOverload) {
-  Engine graph_gen(43);
-  const Graph g = make_random_regular(graph_gen, 2048, 4);
-  FrontierEngine engine(g);
-  std::vector<Vertex> list(g.num_vertices());
-  std::iota(list.begin(), list.end(), 0u);
-  const auto keep = [](Vertex v) { return v % 5 != 2; };
-
-  std::vector<Vertex> out_list;
-  engine.retain(std::span<const Vertex>(list), out_list, keep);
-
-  Frontier frontier, next;
-  engine.dedupe(list, frontier);
-  engine.retain(frontier, next, keep);
-  const auto vs = next.vertices();
-  EXPECT_EQ(out_list, std::vector<Vertex>(vs.begin(), vs.end()));
 }
 
 TEST(FrontierRetain, AuditedRemovalRoundsPassAndObserveOnly) {

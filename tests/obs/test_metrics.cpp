@@ -112,7 +112,8 @@ TEST(Metrics, ResetZeroesValuesButKeepsRegistrationsAndReferences) {
   // Registration survives: the name still snapshots, and the cached
   // reference still feeds it.
   c.add(2);
-  const obs::Sample* s = find_sample(obs::registry().snapshot(), "test.reset.c");
+  const auto samples = obs::registry().snapshot();
+  const obs::Sample* s = find_sample(samples, "test.reset.c");
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 2.0);
 }
@@ -150,8 +151,8 @@ TEST(Metrics, FaultHitsAreRegistryBackedCounters) {
   // The same count is visible through the registry — hits() is now a thin
   // wrapper over "fault.<site>.hits".
   EXPECT_EQ(obs::registry().counter("fault.test.site.hits").value(), 3u);
-  const obs::Sample* s =
-      find_sample(obs::registry().snapshot(), "fault.test.site.hits");
+  const auto samples = obs::registry().snapshot();
+  const obs::Sample* s = find_sample(samples, "fault.test.site.hits");
   ASSERT_NE(s, nullptr);
   EXPECT_DOUBLE_EQ(s->value, 3.0);
   util::fault::disarm_all();

@@ -343,6 +343,49 @@ TEST_F(CheckpointTest, CoverStateFromAnotherGraphIsRejectedOnResume) {
                util::CheckpointError);
 }
 
+TEST_F(CheckpointTest, FirstVisitTimesFromAnotherGraphIsRejectedOnResume) {
+  // The same 2^8-torus-into-2^12-torus resume, with the visit table as the
+  // only stateful hook: sized for 256 vertices, it would be indexed up to
+  // 4095 by the next observe.
+  const auto never = sim::until([](const core::CobraWalk&) { return false; });
+  const graph::Graph small = gen::build_graph("torus:n=2^8");
+  const std::string snap = temp_path("other_graph_visits.snap");
+  core::Engine gen(4);
+  core::CobraWalk walk(small, 0, 2);
+  auto stop = never;
+  sim::FirstVisitTimes visits;
+  const auto first = sim::Runner(6).run_snapshotting(
+      walk, gen, sim::SnapshotPolicy{snap, 3}, stop, visits);
+  ASSERT_FALSE(first.stopped);
+
+  const graph::Graph big = gen::build_graph("torus:n=2^12");
+  core::CobraWalk walk2(big, 0, 2);
+  core::Engine gen2(4);
+  auto stop2 = never;
+  sim::FirstVisitTimes visits2;
+  EXPECT_THROW((void)sim::Runner(64).resume_from(
+                   walk2, gen2, sim::SnapshotPolicy{snap, 0}, stop2, visits2),
+               util::CheckpointError);
+}
+
+TEST_F(CheckpointTest, FirstVisitTimesRejectsVisitsAfterTheSavedRound) {
+  const graph::Graph g = gen::build_graph("ring:n=4");
+  core::CobraWalk walk(g, 0, 2);
+  constexpr std::uint64_t kNever = sim::FirstVisitTimes::kNever;
+  const auto restore = [&](std::vector<std::uint64_t> first) {
+    util::CheckpointWriter w;
+    w.u64(5);  // rounds
+    w.u64_span(first);
+    util::CheckpointReader r(w.buffer());
+    sim::FirstVisitTimes visits;
+    visits.restore_state(r, walk);
+    return visits.last_first_visit();
+  };
+  EXPECT_EQ(restore({0, 5, kNever, 2}), 5u);
+  EXPECT_THROW((void)restore({0, 6, kNever, 2}), util::CheckpointError);
+  EXPECT_THROW((void)restore({0, 5, kNever}), util::CheckpointError);
+}
+
 TEST_F(CheckpointTest, CoverStateRejectsFlagBytesOtherThanZeroOrOne) {
   const graph::Graph g = gen::build_graph("ring:n=8");
   core::CobraWalk walk(g, 0, 2);
