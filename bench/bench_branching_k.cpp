@@ -15,7 +15,8 @@
 
 #include "harness.hpp"
 
-#include "core/cover_time.hpp"
+#include "core/cobra_walk.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -27,8 +28,8 @@ void sweep(const std::string& name, const std::string& spec,
   io::Table table({"k", "cover", "speedup vs k=1", "speedup vs k=2"});
   double k1_mean = 0.0, k2_mean = 0.0;
   for (const std::uint32_t k : {1u, 2u, 3u, 4u, 8u}) {
-    const auto cover = bench::measure(trials, seed + k, [&](core::Engine& gen) {
-      return static_cast<double>(core::cobra_cover(g, 0, k, gen).steps);
+    const auto cover = sim::replicate(trials, seed + k, [&](core::Engine& gen) {
+      return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, k);
     });
     if (k == 1) k1_mean = cover.mean;
     if (k == 2) k2_mean = cover.mean;

@@ -20,9 +20,9 @@
 
 #include "harness.hpp"
 
-#include "core/cover_time.hpp"
+#include "core/cobra_walk.hpp"
 #include "core/exact_cobra.hpp"
-#include "core/hitting_time.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -53,20 +53,20 @@ void cover_table(bench::Harness& h, const std::vector<bench::BuiltCase>& cases,
     const graph::Graph& g = c.graph;
     const core::ExactCobra exact(g, 2);
     const double truth = exact.expected_cover_time(0);
-    const auto sim = bench::measure(
+    const auto mc = sim::replicate(
         trials, 0xA100 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
-          return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+          return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
         });
-    const double z = sim.sem > 0 ? (sim.mean - truth) / sim.sem : 0.0;
-    table.add_row({c.name, io::Table::fmt(truth, 4), bench::mean_ci(sim, 3),
+    const double z = mc.sem > 0 ? (mc.mean - truth) / mc.sem : 0.0;
+    table.add_row({c.name, io::Table::fmt(truth, 4), bench::mean_ci(mc, 3),
                    io::Table::fmt(z, 2)});
     h.json()
         .record("cover/" + c.name)
         .field("spec", c.spec)
         .field("exact_cover", truth)
-        .field("sim_cover_mean", sim.mean)
-        .field("sim_cover_sem", sim.sem)
+        .field("sim_cover_mean", mc.mean)
+        .field("sim_cover_sem", mc.sem)
         .field("z_score", z);
   }
   std::cout << table
@@ -85,22 +85,21 @@ void hitting_table(bench::Harness& h,
     const core::ExactCobra exact(g, 2);
     const graph::Vertex target = g.num_vertices() - 1;
     const double truth = exact.expected_hitting_time(0, target);
-    const auto sim = bench::measure(
+    const auto mc = sim::replicate(
         trials, 0xA200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) {
-          return static_cast<double>(
-              core::cobra_hit(g, 0, target, 2, gen).steps);
+          return sim::hit_rounds<core::CobraWalk>(gen, target, g, 0u, 2u);
         });
-    const double z = sim.sem > 0 ? (sim.mean - truth) / sim.sem : 0.0;
+    const double z = mc.sem > 0 ? (mc.mean - truth) / mc.sem : 0.0;
     table.add_row({c.name, "0 -> " + std::to_string(target),
-                   io::Table::fmt(truth, 4), bench::mean_ci(sim, 3),
+                   io::Table::fmt(truth, 4), bench::mean_ci(mc, 3),
                    io::Table::fmt(z, 2)});
     h.json()
         .record("hitting/" + c.name)
         .field("spec", c.spec)
         .field("target", static_cast<double>(target))
         .field("exact_hit", truth)
-        .field("sim_hit_mean", sim.mean)
+        .field("sim_hit_mean", mc.mean)
         .field("z_score", z);
   }
   std::cout << table << "\n";

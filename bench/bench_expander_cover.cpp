@@ -32,7 +32,7 @@ void add_row(bench::Harness& h, io::Table& table, const std::string& family,
              std::vector<double>* covers) {
   const graph::Graph& g = c.graph;
   const double gap = graph::lazy_walk_spectrum(g).spectral_gap;
-  const auto cover = bench::measure(trials, seed, [&](core::Engine& gen) {
+  const auto cover = sim::replicate(trials, seed, [&](core::Engine& gen) {
     return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
   });
   const double ln_n = std::log(static_cast<double>(g.num_vertices()));

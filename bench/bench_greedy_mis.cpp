@@ -79,7 +79,7 @@ void family_table(bench::Harness& h, std::uint32_t trials) {
   };
   for (const auto& c : h.suite(cases)) {
     const auto seed = 0xA11100 ^ std::hash<std::string>{}(c.spec);
-    const auto rounds = bench::measure(
+    const auto rounds = sim::replicate(
         trials, seed, [&](core::Engine& gen) {
           return rounds_to_extinction(c.graph, gen);
         });
@@ -134,7 +134,7 @@ void scaling_table(bench::Harness& h, bool smoke, std::uint32_t trials,
   }
   for (const auto& c : h.suite(cases)) {
     const auto n = c.graph.num_vertices();
-    const auto rounds = bench::measure(
+    const auto rounds = sim::replicate(
         trials, 0xA11200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& gen) { return rounds_to_extinction(c.graph, gen); });
     table.add_row({io::Table::fmt_int(n), bench::mean_ci(rounds, 2)});

@@ -27,6 +27,7 @@
 #include "harness.hpp"
 
 #include "core/grid_drift.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -92,7 +93,7 @@ void lemma5_table(bench::Harness& h, const std::vector<std::uint32_t>& dims,
     io::Table table({"n", "rounds to origin", "rounds / (d^2 n)"});
     std::vector<double> ns, times;
     for (const std::uint32_t n : distances) {
-      const auto s = bench::measure(
+      const auto s = sim::replicate(
           trials, 0xA5200 + d * 1000 + n, [&](core::Engine& gen) {
             core::GridDriftWalk walk(d, n, n);
             const std::uint64_t budget = 4096ull * d * d * n;

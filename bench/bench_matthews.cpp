@@ -17,7 +17,6 @@
 #include "harness.hpp"
 
 #include "core/cobra_walk.hpp"
-#include "core/hitting_time.hpp"
 #include "sim/runner.hpp"
 
 int main(int argc, char** argv) {
@@ -52,8 +51,8 @@ int main(int argc, char** argv) {
     const graph::Graph& g = c.graph;
     core::Engine gen(0xE6100 ^ std::hash<std::string>{}(c.spec));
     const auto hmax =
-        core::estimate_cobra_hmax(g, 2, gen, pair_samples, trials_per_pair);
-    const auto cover = bench::measure(
+        sim::estimate_cobra_hmax(g, 2, gen, pair_samples, trials_per_pair);
+    const auto cover = sim::replicate(
         trials, 0xE6200 ^ std::hash<std::string>{}(c.spec),
         [&](core::Engine& e) {
           return sim::cover_rounds<core::CobraWalk>(e, g, 0u, 2u);

@@ -104,7 +104,7 @@ void collision_table(bench::Harness& h, std::uint32_t trials) {
         16.0 / (phi * phi) * std::log(static_cast<double>(n)) + 64);
     // Probability that the pair is co-located (summed over all v — the
     // per-v bound times n) at time s, over trials.
-    const auto prob = bench::measure(
+    const auto prob = sim::replicate(
         trials, 0xA4200 ^ std::hash<std::string>{}(c.spec),
         [&, s](core::Engine& gen) {
           // The product walk as a sim::Process on D(G x G): a fixed-horizon

@@ -18,8 +18,8 @@
 #include "harness.hpp"
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/runner.hpp"
 
 namespace {
 
@@ -35,7 +35,7 @@ double timed_run(std::size_t threads, bool dynamic, const graph::Graph& g,
   const auto start = std::chrono::steady_clock::now();
   const auto results = par::run_trials(pool, opts, [&](core::Engine& gen,
                                                        std::uint32_t) {
-    return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+    return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
   });
   const auto stop = std::chrono::steady_clock::now();
   // Guard against the optimizer and against silent wrong results.
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   {
     core::CobraWalk probe(g, 0, 2);
     core::Engine probe_gen(0xA3);
-    (void)core::run_to_cover(probe, probe_gen, 1u << 22);
+    (void)sim::run_cover(probe, probe_gen, 1u << 22);
     json.record("representation_probe")
         .field("rounds", static_cast<double>(probe.round()))
         .field("dense_rounds",

@@ -47,7 +47,7 @@ void sweep_arity(bench::Harness& h, std::uint32_t arity,
     const std::uint32_t depth = levels[i++];
     const graph::Graph& g = c.graph;
     const double diameter = 2.0 * (depth - 1);
-    const auto cover = bench::measure(
+    const auto cover = sim::replicate(
         trials, 0xE9000 + arity * 100 + depth,
         [&](core::Engine& gen) { return cobra_cover_rounds(g, gen); });
     table.add_row({io::Table::fmt_int(depth),
@@ -92,7 +92,7 @@ void star_sweep(bench::Harness& h, const std::vector<std::uint32_t>& sizes,
   for (const auto& c : h.suite(cases)) {
     const graph::Graph& g = c.graph;
     const std::uint32_t n = g.num_vertices();
-    const auto cover = bench::measure(
+    const auto cover = sim::replicate(
         trials, 0xE9900 + n,
         [&](core::Engine& gen) { return cobra_cover_rounds(g, gen); });
     const double ln_n = std::log(static_cast<double>(n));
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   if (h.has_graph()) {
     for (const auto& c : h.suite({})) {
       const graph::Graph& g = c.graph;
-      const auto cover = bench::measure(trials, 0xE9000, [&](core::Engine& gen) {
+      const auto cover = sim::replicate(trials, 0xE9000, [&](core::Engine& gen) {
         return cobra_cover_rounds(g, gen);
       });
       // Eccentricity of the start vertex: a diameter lower bound that is

@@ -257,7 +257,8 @@ bool is_timing_field(const std::string& field) {
     return static_cast<char>(std::tolower(c));
   });
   for (const char* marker :
-       {"per_sec", "seconds", "speedup", "throughput", "time"}) {
+       {"per_sec", "seconds", "speedup", "efficiency", "throughput",
+        "time"}) {
     if (lower.find(marker) != std::string::npos) return true;
   }
   return false;

@@ -18,11 +18,11 @@
 ///     are deterministic or statistically stable across hosts — they are
 ///     gated by default with a two-sided relative `slack`.
 ///   * TIMING fields (anything whose name contains per_sec / seconds /
-///     speedup / throughput / time) depend on the machine du jour — they
-///     are SKIPPED by default and only gated when the caller opts in with
-///     a separate `time_slack`, so a checked-in baseline still gates
-///     semantics on any host while perf gating stays a deliberate,
-///     same-host decision.
+///     speedup / efficiency / throughput / time) depend on the machine du
+///     jour (efficiency is speedup per thread) — they are SKIPPED by
+///     default and only gated when the caller opts in with a separate
+///     `time_slack`, so a checked-in baseline still gates semantics on any
+///     host while perf gating stays a deliberate, same-host decision.
 ///
 /// A record or field present in the baseline but missing from the
 /// candidate fails the gate (a silently dropped measurement is a
@@ -76,7 +76,7 @@ struct GateRecord {
 
 /// True when `field` names a machine-dependent timing measurement
 /// (case-insensitive substring match on per_sec / seconds / speedup /
-/// throughput / time).
+/// efficiency / throughput / time).
 [[nodiscard]] bool is_timing_field(const std::string& field);
 
 /// Flatten a bench JSON (JsonReporter schema) or a cobra_sweep merged file

@@ -16,7 +16,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/runner.hpp"
 #include "util/fault.hpp"
 
 namespace cobra::bench {
@@ -282,11 +281,6 @@ std::string JsonReporter::number(double value) {
 }
 
 // ----------------------------------------------------------- measuring --
-
-stats::Summary measure(std::uint32_t trials, std::uint64_t seed,
-                       const std::function<double(core::Engine&)>& trial) {
-  return sim::replicate(trials, seed, trial);
-}
 
 std::string mean_ci(const stats::Summary& s, int precision) {
   return io::Table::fmt(s.mean, precision) + " +- " +

@@ -165,13 +165,6 @@ class JsonReporter {
   std::deque<Record> records_;  // stable references across record() calls
 };
 
-/// A Monte-Carlo measurement: run `trial` `trials` times on the global pool
-/// with deterministic seeding and summarize. Thin wrapper over
-/// sim::Runner::replicate — the repetition/CI aggregation lives in the sim
-/// layer now; this name remains for the benches' convenience.
-stats::Summary measure(std::uint32_t trials, std::uint64_t seed,
-                       const std::function<double(core::Engine&)>& trial);
-
 /// Pretty "mean +- ci" cell.
 std::string mean_ci(const stats::Summary& s, int precision = 1);
 

@@ -11,12 +11,11 @@
 #include <iostream>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
+#include "core/random_walk.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
-#include "parallel/monte_carlo.hpp"
-#include "stats/summary.hpp"
+#include "sim/runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace cobra;
@@ -35,15 +34,15 @@ int main(int argc, char** argv) {
   // 2. Run one 2-cobra walk by hand and watch the active set grow.
   core::Engine gen(seed);
   core::CobraWalk walk(g, /*start=*/0, /*branching=*/2);
-  core::CoverageTracker tracker(g.num_vertices());
-  tracker.absorb(walk.active());
-  while (!tracker.complete()) {
+  sim::CoverStop cover;
+  cover.start(walk);
+  while (!cover.complete()) {
     walk.step(gen);
-    tracker.absorb(walk.active());
-    if (walk.round() % 16 == 0 || tracker.complete()) {
+    cover.observe(walk);
+    if (walk.round() % 16 == 0 || cover.complete()) {
       std::cout << "round " << walk.round() << ": |S_t| = "
                 << walk.active().size() << ", covered "
-                << tracker.covered_count() << "/" << g.num_vertices() << "\n";
+                << cover.covered_count() << "/" << g.num_vertices() << "\n";
     }
   }
   std::cout << "\nsingle run covered the grid in " << walk.round()
@@ -51,20 +50,14 @@ int main(int argc, char** argv) {
 
   // 3. Monte-Carlo estimate of the expected cover time, in parallel, with
   //    deterministic per-trial seeding.
-  par::MonteCarloOptions opts;
-  opts.base_seed = seed;
-  opts.trials = trials;
-  const auto cobra_samples = par::run_trials(
-      par::global_pool(), opts, [&](core::Engine& engine, std::uint32_t) {
-        return static_cast<double>(core::cobra_cover(g, 0, 2, engine).steps);
+  const stats::Summary cobra =
+      sim::replicate(trials, seed, [&](core::Engine& engine) {
+        return sim::cover_rounds<core::CobraWalk>(engine, g, 0u, 2u);
       });
-  const auto rw_samples = par::run_trials(
-      par::global_pool(), opts, [&](core::Engine& engine, std::uint32_t) {
-        return static_cast<double>(core::random_walk_cover(g, 0, engine).steps);
+  const stats::Summary rw =
+      sim::replicate(trials, seed, [&](core::Engine& engine) {
+        return sim::cover_rounds<core::RandomWalk>(engine, g, 0u);
       });
-
-  const stats::Summary cobra = stats::summarize(cobra_samples);
-  const stats::Summary rw = stats::summarize(rw_samples);
 
   io::Table table({"process", "mean cover", "95% CI", "median", "max"});
   table.set_align(0, io::Align::Left);

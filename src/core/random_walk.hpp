@@ -24,7 +24,7 @@ class RandomWalk {
 
   [[nodiscard]] Vertex position() const noexcept { return position_; }
 
-  /// Active set of size one (the walker), for the VertexProcess concept.
+  /// Active set of size one (the walker), for the sim::Process concept.
   [[nodiscard]] std::span<const Vertex> active() const noexcept {
     return {&position_, 1};
   }

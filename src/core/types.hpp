@@ -1,15 +1,14 @@
 #pragma once
 
-#include <concepts>
 #include <cstdint>
-#include <span>
 
 #include "graph/graph.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 
 /// \file types.hpp
-/// Shared aliases and the process concept for the core simulators.
+/// Shared aliases and the neighbour-sampling primitive for the core
+/// simulators (the process concept is sim::Process, sim/process.hpp).
 ///
 /// All processes use one concrete engine type (`Engine` = xoshiro256++).
 /// Fixing the engine keeps the simulators out-of-line (fast builds, stable
@@ -29,15 +28,5 @@ using graph::Vertex;
   const auto nbrs = g.neighbors(v);
   return nbrs[static_cast<std::size_t>(rng::uniform_below(gen, nbrs.size()))];
 }
-
-/// A discrete-time vertex process: after construction/reset it has an
-/// active set; step(gen) advances one round. Cover/hitting engines are
-/// written against this concept.
-template <typename P>
-concept VertexProcess = requires(P p, const P cp, Engine& gen) {
-  { p.step(gen) } -> std::same_as<void>;
-  { cp.active() } -> std::convertible_to<std::span<const Vertex>>;
-  { cp.round() } -> std::convertible_to<std::uint64_t>;
-};
 
 }  // namespace cobra::core

@@ -26,7 +26,7 @@
 /// `reset(...)` is deliberately NOT part of the concept: restart signatures
 /// differ per process (single start vertex, start span, pebble budget), and
 /// the Runner never restarts a process — replicated experiments construct a
-/// fresh process per trial inside `Runner::replicate`.
+/// fresh process per trial inside a `sim::replicate` trial.
 ///
 /// Processes that maintain a dual-representation core::Frontier also expose
 /// `frontier()`, holding exactly the `active()` set. Stop rules and

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/cover_time.hpp"
 #include "core/types.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -39,18 +38,29 @@
 /// observers do.
 ///
 /// Budget: every run carries a max-round budget (explicit, or
-/// core::default_step_budget(p.n()) when constructed with 0) so a bugged
-/// stop condition terminates instead of spinning; `stopped == false` means
-/// the budget ran out, mirroring core::CoverResult::covered.
+/// default_step_budget(p.n()) when constructed with 0) so a bugged stop
+/// condition terminates instead of spinning; `stopped == false` means the
+/// budget ran out (for CoverStop: not covered within budget).
 ///
-/// Replication: `Runner::replicate` is the repetition + CI aggregation the
-/// benches used to copy around — `trials` independent trials on the global
-/// pool under the par::monte_carlo determinism contract (trial i's engine
-/// is seeded derive_seed(seed, i), bit-identical at any thread count),
-/// summarized to a stats::Summary. `bench::measure` is now a thin wrapper
-/// over it.
+/// One-shots: `run_cover` / `run_hit` run a held process to cover or to a
+/// target; `cover_rounds<P>` / `hit_rounds<P>` construct the process too,
+/// and `estimate_cobra_hmax` sweeps hitting times over vertex pairs. These
+/// are the repo's only cover- and hitting-time measurements.
+///
+/// Replication: `sim::replicate` is the one repetition + CI aggregation —
+/// `trials` independent trials on the global pool under the
+/// par::monte_carlo determinism contract (trial i's engine is seeded
+/// derive_seed(seed, i), bit-identical at any thread count), summarized to
+/// a stats::Summary.
 
 namespace cobra::sim {
+
+/// Default round budget for a process on `num_vertices` states: a generous
+/// multiple of the worst-case bounds (32 n^3, the simple random walk's
+/// Theta(n^3) cover time padded, floored at 2^20 and saturating at
+/// UINT64_MAX), so an exhausted budget signals a real bug, not tight
+/// budgeting.
+[[nodiscard]] std::uint64_t default_step_budget(std::uint32_t num_vertices);
 
 /// Outcome of one run.
 struct RunResult {
@@ -69,8 +79,8 @@ struct SnapshotPolicy {
 class Runner {
  public:
   /// `max_rounds` = 0 derives the budget per run from the process size
-  /// (core::default_step_budget), generous enough that hitting it signals
-  /// a real bug or an impossible stop condition.
+  /// (default_step_budget), generous enough that hitting it signals a
+  /// real bug or an impossible stop condition.
   constexpr Runner() = default;
   constexpr explicit Runner(std::uint64_t max_rounds)
       : max_rounds_(max_rounds) {}
@@ -81,28 +91,9 @@ class Runner {
   /// Runner value is safely shared across replicate's pool workers.
   template <Process P, typename Stop, typename... Obs>
   RunResult run(P& p, core::Engine& gen, Stop&& stop, Obs&&... obs) const {
-    const std::uint64_t budget =
-        max_rounds_ != 0
-            ? max_rounds_
-            : core::default_step_budget(static_cast<std::uint32_t>(p.n()));
-    start_hook(stop, p);
-    (start_hook(obs, p), ...);
-    RunResult result;
-    while (!stop.done(p)) {
-      if (result.rounds >= budget) {  // stopped stays false
-        record_run(result);
-        return result;
-      }
-      p.step(gen);
-      ++result.rounds;
-      observe_hook(stop, p);
-      (observe_hook(obs, p), ...);
-    }
-    result.stopped = true;
-    // Metrics land AFTER the loop (per run, not per round) so the loop
-    // body stays the bare step loop the zero-observer contract promises.
-    record_run(result);
-    return result;
+    detail::start_hook(stop, p);
+    (detail::start_hook(obs, p), ...);
+    return loop<false>(p, gen, 0, SnapshotPolicy{}, stop, obs...);
   }
 
   /// `run` with periodic durable snapshots: after rounds `every`,
@@ -116,9 +107,9 @@ class Runner {
   RunResult run_snapshotting(P& p, core::Engine& gen,
                              const SnapshotPolicy& policy, Stop&& stop,
                              Obs&&... obs) const {
-    start_hook(stop, p);
-    (start_hook(obs, p), ...);
-    return loop(p, gen, 0, policy, stop, obs...);
+    detail::start_hook(stop, p);
+    (detail::start_hook(obs, p), ...);
+    return loop<true>(p, gen, 0, policy, stop, obs...);
   }
 
   /// Continue a run from the snapshot at `policy.path`: restores `p`,
@@ -156,14 +147,14 @@ class Runner {
     p.restore_state(r);
     detail::restore_engine(r, gen);
     const std::uint64_t rounds_done = r.u64();
-    restore_hook(stop, r, p);
-    (restore_hook(obs, r, p), ...);
+    detail::restore_hook(stop, r, p);
+    (detail::restore_hook(obs, r, p), ...);
     if (!r.exhausted()) {
       throw util::CheckpointError(
           "snapshot has trailing bytes (stop/observer pack mismatch?)");
     }
     obs::count("sim.snapshots_restored");
-    return loop(p, gen, rounds_done, policy, stop, obs...);
+    return loop<true>(p, gen, rounds_done, policy, stop, obs...);
   }
 
   /// Explicitly snapshot a run's state to `path` (what the periodic hook
@@ -179,63 +170,28 @@ class Runner {
     p.save_state(w);
     detail::save_engine(w, gen);
     w.u64(rounds);
-    save_hook(stop, w);
-    (save_hook(obs, w), ...);
+    detail::save_hook(stop, w);
+    (detail::save_hook(obs, w), ...);
     write_snapshot_file(path, w.buffer());
   }
-
-  /// Run `trial` `trials` times on the global pool (deterministic seeding
-  /// per the monte_carlo contract) and summarize mean/CI/quantiles.
-  [[nodiscard]] stats::Summary replicate(
-      std::uint32_t trials, std::uint64_t seed,
-      const std::function<double(core::Engine&)>& trial) const;
 
   [[nodiscard]] std::uint64_t max_rounds() const noexcept {
     return max_rounds_;
   }
 
  private:
-  template <typename Hook, Process P>
-  static void start_hook(Hook& h, const P& p) {
-    if constexpr (requires { h.start(p); }) h.start(p);
-  }
-  template <typename Hook, Process P>
-  static void observe_hook(Hook& h, const P& p) {
-    if constexpr (requires { h.observe(p); }) h.observe(p);
-  }
-  /// Stop/observer serialization hooks, structural like start/observe.
-  /// A hook without save/restore contributes zero bytes; on restore it
-  /// falls back to `start(p)` so stateless hooks (Extinction, FixedRounds
-  /// re-anchored below) come up initialized. `restore_state(r, p)` is
-  /// preferred over `restore_state(r)`, for hooks that validate their
-  /// saved state against the process. save/restore must be paired
-  /// per type or the payload misaligns — caught by the exhausted() check.
-  template <typename Hook>
-  static void save_hook(const Hook& h, util::CheckpointWriter& w) {
-    if constexpr (requires { h.save_state(w); }) h.save_state(w);
-  }
-  template <typename Hook, Process P>
-  static void restore_hook(Hook& h, util::CheckpointReader& r, const P& p) {
-    if constexpr (requires { h.restore_state(r, p); }) {
-      h.restore_state(r, p);
-    } else if constexpr (requires { h.restore_state(r); }) {
-      h.restore_state(r);
-    } else {
-      start_hook(h, p);
-    }
-  }
-
-  /// Shared tail of run_snapshotting/resume_from: the run() step loop with
-  /// `rounds_done` already on the clock and periodic snapshotting.
-  template <typename P, typename Stop, typename... Obs>
-    requires Checkpointable<P>
+  /// The one step loop, entered after the start or restore hooks with
+  /// `rounds_done` already on the clock. `Snapshot` compiles the periodic
+  /// save in (run_snapshotting/resume_from); without it the body is the
+  /// bare step loop run() promises and `policy` is never read.
+  template <bool Snapshot, Process P, typename Stop, typename... Obs>
   RunResult loop(P& p, core::Engine& gen, std::uint64_t rounds_done,
                  const SnapshotPolicy& policy, Stop& stop,
                  Obs&... obs) const {
     const std::uint64_t budget =
         max_rounds_ != 0
             ? max_rounds_
-            : core::default_step_budget(static_cast<std::uint32_t>(p.n()));
+            : default_step_budget(static_cast<std::uint32_t>(p.n()));
     RunResult result;
     result.rounds = rounds_done;
     while (!stop.done(p)) {
@@ -245,21 +201,25 @@ class Runner {
       }
       p.step(gen);
       ++result.rounds;
-      observe_hook(stop, p);
-      (observe_hook(obs, p), ...);
-      if (policy.every != 0 && result.rounds % policy.every == 0) {
-        try {
-          save_snapshot(p, gen, result.rounds, policy.path, stop, obs...);
-          obs::count("sim.snapshots_saved");
-        } catch (const util::CheckpointError& e) {
-          obs::count("sim.snapshot_failures");
-          std::cerr << "[sim] WARNING: snapshot failed at round "
-                    << result.rounds << ": " << e.what()
-                    << " (run continues)\n";
+      detail::observe_hook(stop, p);
+      (detail::observe_hook(obs, p), ...);
+      if constexpr (Snapshot) {
+        if (policy.every != 0 && result.rounds % policy.every == 0) {
+          try {
+            save_snapshot(p, gen, result.rounds, policy.path, stop, obs...);
+            obs::count("sim.snapshots_saved");
+          } catch (const util::CheckpointError& e) {
+            obs::count("sim.snapshot_failures");
+            std::cerr << "[sim] WARNING: snapshot failed at round "
+                      << result.rounds << ": " << e.what()
+                      << " (run continues)\n";
+          }
         }
       }
     }
     result.stopped = true;
+    // Metrics land AFTER the loop (per run, not per round) so the loop
+    // body stays the bare step loop the zero-observer contract promises.
     record_run(result);
     return result;
   }
@@ -275,14 +235,13 @@ class Runner {
   std::uint64_t max_rounds_ = 0;
 };
 
-/// Free-function twin of Runner::replicate for call sites that don't need
-/// a budget (the common bench pattern).
+/// Run `trial` `trials` times on the global pool (deterministic seeding
+/// per the monte_carlo contract) and summarize mean/CI/quantiles.
 [[nodiscard]] stats::Summary replicate(
     std::uint32_t trials, std::uint64_t seed,
     const std::function<double(core::Engine&)>& trial);
 
-/// One-shot: run to cover, default budget when `max_rounds` == 0. The
-/// generic replacement for the per-process core::*_cover one-shots.
+/// One-shot: run to cover, default budget when `max_rounds` == 0.
 template <Process P>
 RunResult run_cover(P& p, core::Engine& gen, std::uint64_t max_rounds = 0) {
   CoverStop cover;
@@ -320,5 +279,24 @@ double hit_rounds(core::Engine& gen, core::Vertex target, Args&&... args) {
   P process(std::forward<Args>(args)...);
   return static_cast<double>(run_hit(process, target, gen).rounds);
 }
+
+/// Estimate of h_max = max_{u,v} H(u, v) for the `branching`-cobra walk
+/// (§2, §5; the quantity Theorems 15 and 20 and the Matthews bound are
+/// phrased in): `pair_samples` == 0 sweeps all ordered pairs (only sane
+/// for small n), otherwise that many random distinct pairs drawn from
+/// `gen`. Each pair's H is the mean of `trials_per_pair` run_hit rounds,
+/// also drawn from `gen`, under budget `max_rounds` (0 = the default).
+struct HmaxEstimate {
+  double hmax = 0.0;         ///< max over pairs of mean hitting time
+  core::Vertex argmax_from = 0;
+  core::Vertex argmax_to = 0;
+  std::uint64_t pairs = 0;
+  bool all_hit = true;       ///< false if any run exhausted its budget
+};
+HmaxEstimate estimate_cobra_hmax(const graph::Graph& g,
+                                 std::uint32_t branching, core::Engine& gen,
+                                 std::uint64_t pair_samples,
+                                 std::uint32_t trials_per_pair,
+                                 std::uint64_t max_rounds = 0);
 
 }  // namespace cobra::sim

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
-#include "core/cover_time.hpp"
 #include "core/frontier_engine.hpp"
 #include "core/types.hpp"
 #include "sim/process.hpp"
@@ -22,10 +23,11 @@
 ///   void start(const P&)     — optional; called once with the round-0 state
 ///   void observe(const P&)   — optional; called after every step
 ///
-/// detected structurally by the Runner (no virtual dispatch, nothing paid
-/// for hooks a rule doesn't declare). Rules are plain values the caller
-/// owns, so a bench can interrogate them after the run (covered count, hit
-/// round, ...). Compose with `any_of(a, b, ...)`.
+/// detected structurally (detail::start_hook & co. below, shared by the
+/// Runner and AnyOf: no virtual dispatch, nothing paid for hooks a rule
+/// doesn't declare). Rules are plain values the caller owns, so a bench
+/// can interrogate them after the run (covered count, hit round, ...).
+/// Compose with `any_of(a, b, ...)`.
 ///
 /// Rules whose verdict depends on run HISTORY (not just the current
 /// process state) additionally provide save_state/restore_state for the
@@ -33,7 +35,7 @@
 /// FixedRounds' anchor round. A rule that must check its saved state
 /// against the process declares `restore_state(r, p)` instead of
 /// `restore_state(r)`. Stateless rules (Extinction, Until) need nothing —
-/// the Runner's restore falls back to start().
+/// restore falls back to start(), at top level and inside AnyOf alike.
 ///
 /// Rules that read the active set every round read it through the
 /// process's native `frontier()` when it has one — bitmap words after a
@@ -57,7 +59,83 @@ template <Process P>
   }
 }
 
+/// Structural hooks for stop rules and observers, resolved at compile
+/// time: a hook the type doesn't declare compiles to nothing. The Runner
+/// drives its stop rule and observers through these, and AnyOf its
+/// members, so a rule behaves the same at top level and inside AnyOf.
+template <typename Hook, Process P>
+void start_hook(Hook& h, const P& p) {
+  if constexpr (requires { h.start(p); }) h.start(p);
+}
+template <typename Hook, Process P>
+void observe_hook(Hook& h, const P& p) {
+  if constexpr (requires { h.observe(p); }) h.observe(p);
+}
+/// Serialization hooks. A hook without save/restore contributes zero
+/// bytes; on restore it falls back to `start(p)` so stateless hooks
+/// (Extinction, FixedRounds re-anchored below) come up initialized.
+/// `restore_state(r, p)` is preferred over `restore_state(r)`, for hooks
+/// that validate their saved state against the process. save/restore must
+/// be paired per type or the payload misaligns — caught by the Runner's
+/// exhausted() check.
+template <typename Hook>
+void save_hook(const Hook& h, util::CheckpointWriter& w) {
+  if constexpr (requires { h.save_state(w); }) h.save_state(w);
+}
+template <typename Hook, Process P>
+void restore_hook(Hook& h, util::CheckpointReader& r, const P& p) {
+  if constexpr (requires { h.restore_state(r, p); }) {
+    h.restore_state(r, p);
+  } else if constexpr (requires { h.restore_state(r); }) {
+    h.restore_state(r);
+  } else {
+    start_hook(h, p);
+  }
+}
+
 }  // namespace detail
+
+/// Set-of-covered-vertices tracker, one bit per vertex: O(1) absorb per
+/// active vertex from a sorted list, O(n/64) word ORs from a dense
+/// frontier's bitmap.
+class CoverageTracker {
+ public:
+  explicit CoverageTracker(std::uint32_t num_vertices);
+
+  /// Mark all of `active` covered; returns how many were newly covered.
+  std::uint32_t absorb(std::span<const core::Vertex> active);
+
+  /// Mark every set bit of `words` (a bitmap over [0, total()) in
+  /// Frontier layout: bit v & 63 of word v >> 6, bits past total() clear)
+  /// covered; returns how many were newly covered.
+  std::uint32_t absorb(std::span<const std::uint64_t> words);
+
+  void reset();
+
+  [[nodiscard]] bool is_covered(core::Vertex v) const {
+    return ((words_[v >> 6] >> (v & 63)) & 1u) != 0;
+  }
+  [[nodiscard]] std::uint32_t covered_count() const noexcept { return count_; }
+  [[nodiscard]] std::uint32_t total() const noexcept { return n_; }
+  [[nodiscard]] bool complete() const noexcept { return count_ == total(); }
+  [[nodiscard]] double fraction() const noexcept {
+    return total() == 0 ? 1.0
+                        : static_cast<double>(count_) / static_cast<double>(total());
+  }
+
+  /// One 0/1 covered-flag byte per vertex (the checkpoint format).
+  [[nodiscard]] std::vector<std::uint8_t> raw() const;
+
+  /// Replace the tracker's contents with previously saved `raw()` bytes
+  /// (the byte count is the vertex count; any nonzero byte is covered)
+  /// and recount.
+  void restore_raw(std::span<const std::uint8_t> bytes);
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::uint32_t n_ = 0;
+  std::uint32_t count_ = 0;
+};
 
 /// Stop when every vertex of the graph has been active at least once —
 /// the paper's cover time. Owns the CoverageTracker (sized lazily from
@@ -138,7 +216,7 @@ class CoverStop {
     }
   }
 
-  std::optional<core::CoverageTracker> tracker_;
+  std::optional<CoverageTracker> tracker_;
 };
 
 /// Stop when `target` first appears in the active set (a target active at
@@ -285,7 +363,8 @@ template <typename F>
 /// Disjunction of stop rules, held by reference: the run ends when ANY
 /// member rule fires, and the caller can still interrogate each rule
 /// afterwards (e.g. CoverStop::complete() distinguishes "covered" from
-/// "went extinct first"). All members receive start/observe hooks.
+/// "went extinct first"). Members are driven through the detail:: hooks,
+/// exactly as the Runner drives a top-level rule.
 template <typename... Rules>
 class AnyOf {
  public:
@@ -293,12 +372,13 @@ class AnyOf {
 
   template <Process P>
   void start(const P& p) {
-    std::apply([&](Rules&... r) { (detail_start(r, p), ...); }, rules_);
+    std::apply([&](Rules&... r) { (detail::start_hook(r, p), ...); }, rules_);
   }
 
   template <Process P>
   void observe(const P& p) {
-    std::apply([&](Rules&... r) { (detail_observe(r, p), ...); }, rules_);
+    std::apply([&](Rules&... r) { (detail::observe_hook(r, p), ...); },
+               rules_);
   }
 
   template <Process P>
@@ -308,38 +388,18 @@ class AnyOf {
   }
 
   /// Checkpoint pass-through: members serialize in pack order, stateless
-  /// members contribute zero bytes (mirroring the Runner's own hooks).
+  /// members contribute zero bytes and are re-started on restore.
   void save_state(util::CheckpointWriter& w) const {
-    std::apply([&](const Rules&... r) { (detail_save(r, w), ...); }, rules_);
+    std::apply([&](const Rules&... r) { (detail::save_hook(r, w), ...); },
+               rules_);
   }
   template <Process P>
   void restore_state(util::CheckpointReader& rd, const P& p) {
-    std::apply([&](Rules&... r) { (detail_restore(r, rd, p), ...); }, rules_);
+    std::apply([&](Rules&... r) { (detail::restore_hook(r, rd, p), ...); },
+               rules_);
   }
 
  private:
-  template <typename R, Process P>
-  static void detail_start(R& rule, const P& p) {
-    if constexpr (requires { rule.start(p); }) rule.start(p);
-  }
-  template <typename R, Process P>
-  static void detail_observe(R& rule, const P& p) {
-    if constexpr (requires { rule.observe(p); }) rule.observe(p);
-  }
-  template <typename R>
-  static void detail_save(const R& rule, util::CheckpointWriter& w) {
-    if constexpr (requires { rule.save_state(w); }) rule.save_state(w);
-  }
-  template <typename R, Process P>
-  static void detail_restore(R& rule, util::CheckpointReader& rd,
-                             const P& p) {
-    if constexpr (requires { rule.restore_state(rd, p); }) {
-      rule.restore_state(rd, p);
-    } else if constexpr (requires { rule.restore_state(rd); }) {
-      rule.restore_state(rd);
-    }
-  }
-
   std::tuple<Rules&...> rules_;
 };
 

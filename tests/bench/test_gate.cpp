@@ -38,6 +38,7 @@ TEST(Gate, TimingFieldsMatchBySubstring) {
   EXPECT_TRUE(bench::is_timing_field("cover_seconds"));
   EXPECT_TRUE(bench::is_timing_field("steps_per_sec"));
   EXPECT_TRUE(bench::is_timing_field("Speedup_8t"));
+  EXPECT_TRUE(bench::is_timing_field("dynamic_efficiency"));
   EXPECT_TRUE(bench::is_timing_field("throughput"));
   EXPECT_TRUE(bench::is_timing_field("wall_time_ms"));
   EXPECT_FALSE(bench::is_timing_field("rounds"));

@@ -4,11 +4,11 @@
 
 #include <vector>
 
-#include "core/hitting_time.hpp"
 #include "core/random_walk.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
 namespace cobra::core {
 namespace {
@@ -78,14 +78,14 @@ TEST(BiasedWalk, BiasReducesHittingTime) {
   double biased_total = 0, unbiased_total = 0;
   for (int rep = 0; rep < kTrials; ++rep) {
     BiasedWalk biased(g, 0, 32, BiasSchedule::EpsilonBias, 0.5);
-    const HitResult hb = run_to_hit(biased, 32, gen, 1u << 22);
-    ASSERT_TRUE(hb.hit);
-    biased_total += static_cast<double>(hb.steps);
+    const sim::RunResult hb = sim::run_hit(biased, 32, gen, 1u << 22);
+    ASSERT_TRUE(hb.stopped);
+    biased_total += static_cast<double>(hb.rounds);
 
     RandomWalk unbiased(g, 0);
-    const HitResult hu = run_to_hit(unbiased, 32, gen, 1u << 22);
-    ASSERT_TRUE(hu.hit);
-    unbiased_total += static_cast<double>(hu.steps);
+    const sim::RunResult hu = sim::run_hit(unbiased, 32, gen, 1u << 22);
+    ASSERT_TRUE(hu.stopped);
+    unbiased_total += static_cast<double>(hu.rounds);
   }
   EXPECT_LT(biased_total * 3, unbiased_total);
 }
@@ -101,12 +101,14 @@ TEST(BiasedWalk, InverseDegreeBiasOnStarFavorsTarget) {
   constexpr int kTrials = 300;
   double biased_total = 0, plain_total = 0;
   for (int rep = 0; rep < kTrials; ++rep) {
-    const HitResult hb = inverse_degree_hit(g, 1, 2, gen);
-    ASSERT_TRUE(hb.hit);
-    biased_total += static_cast<double>(hb.steps);
-    const HitResult hp = random_walk_hit(g, 1, 2, gen);
-    ASSERT_TRUE(hp.hit);
-    plain_total += static_cast<double>(hp.steps);
+    BiasedWalk biased(g, 1, 2, BiasSchedule::InverseDegreeBias);
+    const sim::RunResult hb = sim::run_hit(biased, 2, gen);
+    ASSERT_TRUE(hb.stopped);
+    biased_total += static_cast<double>(hb.rounds);
+    RandomWalk plain(g, 1);
+    const sim::RunResult hp = sim::run_hit(plain, 2, gen);
+    ASSERT_TRUE(hp.stopped);
+    plain_total += static_cast<double>(hp.rounds);
   }
   EXPECT_LT(biased_total, plain_total);
 }

@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "core/generalized_cobra.hpp"
 #include "core/gossip.hpp"
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/runner.hpp"
 #include "util/checkpoint_io.hpp"
 #include "util/fault.hpp"
 
@@ -82,8 +82,8 @@ TEST_F(EngineFailureTest, DenseAllocFailureFallsBackToSparseBitIdentically) {
   core::Engine gen_ref(31);
   core::CobraWalk ref(g, 0, 2);
   ref.engine().options().mode = core::FrontierMode::ForceDense;
-  const auto expected = core::run_to_cover(ref, gen_ref, 1u << 18);
-  ASSERT_TRUE(expected.covered);
+  const auto expected = sim::run_cover(ref, gen_ref, 1u << 18);
+  ASSERT_TRUE(expected.stopped);
 
   // Faulty: every dense-bitmap acquisition fails, so every round demotes
   // to sparse. Representation is an optimization — results must be
@@ -92,11 +92,11 @@ TEST_F(EngineFailureTest, DenseAllocFailureFallsBackToSparseBitIdentically) {
   core::Engine gen_faulty(31);
   core::CobraWalk faulty(g, 0, 2);
   faulty.engine().options().mode = core::FrontierMode::ForceDense;
-  const auto degraded = core::run_to_cover(faulty, gen_faulty, 1u << 18);
-  EXPECT_TRUE(degraded.covered);
-  EXPECT_EQ(degraded.steps, expected.steps);
+  const auto degraded = sim::run_cover(faulty, gen_faulty, 1u << 18);
+  EXPECT_TRUE(degraded.stopped);
+  EXPECT_EQ(degraded.rounds, expected.rounds);
   EXPECT_EQ(gen_faulty(), gen_ref());  // same randomness consumed
-  EXPECT_EQ(faulty.engine().dense_fallbacks(), degraded.steps);
+  EXPECT_EQ(faulty.engine().dense_fallbacks(), degraded.rounds);
   EXPECT_EQ(faulty.engine().dense_rounds(), 0u);
   EXPECT_GT(util::fault::hits("frontier.dense_alloc"), 0u);
 }
@@ -137,8 +137,8 @@ TEST_F(EngineFailureTest, MidRunAllocFailureSwitchesRepresentationSafely) {
   core::Engine gen_ref(5);
   core::CobraWalk ref(g, 0, 2);
   ref.engine().options().mode = core::FrontierMode::ForceDense;
-  const auto expected = core::run_to_cover(ref, gen_ref, 1u << 18);
-  ASSERT_TRUE(expected.covered);
+  const auto expected = sim::run_cover(ref, gen_ref, 1u << 18);
+  ASSERT_TRUE(expected.stopped);
 
   // Dense storage vanishes from the 4th attempt onward — a run that
   // STARTS dense and loses the bitmap mid-flight.
@@ -146,9 +146,9 @@ TEST_F(EngineFailureTest, MidRunAllocFailureSwitchesRepresentationSafely) {
   core::Engine gen_faulty(5);
   core::CobraWalk faulty(g, 0, 2);
   faulty.engine().options().mode = core::FrontierMode::ForceDense;
-  const auto degraded = core::run_to_cover(faulty, gen_faulty, 1u << 18);
-  EXPECT_TRUE(degraded.covered);
-  EXPECT_EQ(degraded.steps, expected.steps);
+  const auto degraded = sim::run_cover(faulty, gen_faulty, 1u << 18);
+  EXPECT_TRUE(degraded.stopped);
+  EXPECT_EQ(degraded.rounds, expected.rounds);
   EXPECT_EQ(faulty.engine().dense_rounds(), 3u);
   EXPECT_GT(faulty.engine().dense_fallbacks(), 0u);
 }

@@ -4,11 +4,11 @@
 
 #include <cmath>
 
-#include "core/cover_time.hpp"
-#include "core/hitting_time.hpp"
+#include "core/cobra_walk.hpp"
 #include "graph/exact_hitting.hpp"
 #include "graph/generators.hpp"
 #include "parallel/monte_carlo.hpp"
+#include "sim/runner.hpp"
 #include "stats/summary.hpp"
 
 namespace cobra::core {
@@ -102,7 +102,7 @@ TEST(ExactCobra, MonteCarloMatchesExactHitting) {
   opts.base_seed = 5;
   const auto samples = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(cobra_hit(g, 0, 4, 2, gen).steps);
+        return sim::hit_rounds<CobraWalk>(gen, 4, g, 0u, 2u);
       });
   const auto s = stats::summarize(samples);
   EXPECT_NEAR(s.mean, truth, 4.0 * s.sem) << "truth " << truth;
@@ -117,7 +117,7 @@ TEST(ExactCobra, MonteCarloMatchesExactCover) {
   opts.base_seed = 6;
   const auto samples = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(cobra_cover(g, 0, 2, gen).steps);
+        return sim::cover_rounds<CobraWalk>(gen, g, 0u, 2u);
       });
   const auto s = stats::summarize(samples);
   EXPECT_NEAR(s.mean, truth, 4.0 * s.sem) << "truth " << truth;

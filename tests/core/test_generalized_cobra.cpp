@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
 namespace cobra::core {
 namespace {
@@ -119,8 +119,7 @@ TEST(GeneralizedCobra, WorksWithCoverEngine) {
   const Graph g = make_grid(2, 5);
   Engine gen(7);
   GeneralizedCobraWalk walk(g, 0, schedules::bernoulli_mixture(2, 0.3));
-  const CoverResult r = run_to_cover(walk, gen, 1u << 22);
-  EXPECT_TRUE(r.covered);
+  EXPECT_TRUE(sim::run_cover(walk, gen, 1u << 22).stopped);
 }
 
 TEST(GeneralizedCobra, ScheduleValidation) {
@@ -142,9 +141,11 @@ TEST(GeneralizedCobra, HigherMeanBranchingCoversFaster) {
   constexpr int kTrials = 30;
   for (int t = 0; t < kTrials; ++t) {
     GeneralizedCobraWalk slow(g, 0, schedules::bernoulli_mixture(1, 0.2));
-    slow_total += static_cast<double>(run_to_cover(slow, gen, 1u << 24).steps);
+    slow_total +=
+        static_cast<double>(sim::run_cover(slow, gen, 1u << 24).rounds);
     GeneralizedCobraWalk fast(g, 0, schedules::bernoulli_mixture(3, 0.2));
-    fast_total += static_cast<double>(run_to_cover(fast, gen, 1u << 24).steps);
+    fast_total +=
+        static_cast<double>(sim::run_cover(fast, gen, 1u << 24).rounds);
   }
   EXPECT_LT(fast_total, slow_total);
 }

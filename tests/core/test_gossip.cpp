@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "core/cover_time.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
 namespace cobra::core {
 namespace {
@@ -134,10 +134,11 @@ TEST(Gossip, ResetClearsState) {
 TEST(Gossip, WorksWithCoverEngine) {
   const Graph g = make_complete(32);
   Engine gen(9);
-  const CoverResult r = gossip_push_cover(g, 0, gen);
-  EXPECT_TRUE(r.covered);
-  EXPECT_GT(r.steps, 0u);
-  EXPECT_LT(r.steps, 200u);
+  Gossip gossip(g, 0, GossipMode::Push);
+  const sim::RunResult r = sim::run_cover(gossip, gen);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_GT(r.rounds, 0u);
+  EXPECT_LT(r.rounds, 200u);
 }
 
 TEST(Gossip, InvalidConstruction) {

@@ -4,11 +4,11 @@
 
 #include <cmath>
 
-#include "core/cover_time.hpp"
-#include "core/hitting_time.hpp"
+#include "core/random_walk.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "parallel/monte_carlo.hpp"
+#include "sim/runner.hpp"
 #include "stats/summary.hpp"
 
 namespace cobra::graph {
@@ -82,8 +82,7 @@ TEST(ExactHitting, SimulationMatchesExact) {
   opts.base_seed = 99;
   const auto samples = par::run_trials(
       par::global_pool(), opts, [&](core::Engine& gen, std::uint32_t) {
-        return static_cast<double>(
-            core::random_walk_hit(g, 0, target, gen).steps);
+        return sim::hit_rounds<core::RandomWalk>(gen, target, g, 0u);
       });
   const auto s = stats::summarize(samples);
   EXPECT_NEAR(s.mean, exact[0], 3.0 * s.sem + 0.5);
@@ -98,7 +97,7 @@ TEST(ExactHitting, MatthewsUpperBoundHolds) {
   opts.base_seed = 7;
   const auto samples = par::run_trials(
       par::global_pool(), opts, [&](core::Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::random_walk_cover(g, 0, gen).steps);
+        return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
       });
   EXPECT_LE(stats::mean_of(samples), bound);
   // Cycle cover time is exactly n(n-1)/2 = 120; the bound is ~64*3.3.

@@ -8,13 +8,13 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "core/gossip.hpp"
 #include "core/grid_drift.hpp"
 #include "core/pair_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/generators.hpp"
 #include "parallel/monte_carlo.hpp"
+#include "sim/runner.hpp"
 #include "stats/bootstrap.hpp"
 
 namespace cobra {
@@ -99,7 +99,7 @@ TEST(Determinism, MonteCarloRepeatable) {
   opts.trials = 64;
   opts.base_seed = 1234;
   auto trial = [&](Engine& gen, std::uint32_t) {
-    return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+    return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
   };
   const auto a = par::run_trials(par::global_pool(), opts, trial);
   const auto b = par::run_trials(par::global_pool(), opts, trial);

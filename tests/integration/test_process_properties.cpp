@@ -11,13 +11,13 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
 #include "core/gossip.hpp"
 #include "core/parallel_walks.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
 namespace cobra {
 namespace {
@@ -56,23 +56,23 @@ TEST_P(ProcessProperties, CobraActiveSetsValidAndCoverHappens) {
   const Graph g = GetParam().make_graph();
   Engine gen(1);
   core::CobraWalk walk(g, 0, 2);
-  core::CoverageTracker tracker(g.num_vertices());
-  tracker.absorb(walk.active());
-  for (int t = 0; t < 100000 && !tracker.complete(); ++t) {
+  sim::CoverStop cover;
+  cover.start(walk);
+  for (int t = 0; t < 100000 && !cover.complete(); ++t) {
     walk.step(gen);
     for (const Vertex v : walk.active()) ASSERT_LT(v, g.num_vertices());
     const std::set<Vertex> unique(walk.active().begin(), walk.active().end());
     ASSERT_EQ(unique.size(), walk.active().size());
-    tracker.absorb(walk.active());
+    cover.observe(walk);
   }
-  EXPECT_TRUE(tracker.complete()) << GetParam().name;
+  EXPECT_TRUE(cover.complete()) << GetParam().name;
 }
 
 TEST_P(ProcessProperties, RandomWalkEventuallyCovers) {
   const Graph g = GetParam().make_graph();
   Engine gen(2);
-  const core::CoverResult r = core::random_walk_cover(g, 0, gen);
-  EXPECT_TRUE(r.covered) << GetParam().name;
+  core::RandomWalk walk(g, 0);
+  EXPECT_TRUE(sim::run_cover(walk, gen).stopped) << GetParam().name;
 }
 
 TEST_P(ProcessProperties, GossipCompletesAndIsMonotone) {
@@ -93,14 +93,14 @@ TEST_P(ProcessProperties, WaltConservesPebblesAndCovers) {
   Engine gen(4);
   const std::uint32_t pebbles = std::max(2u, g.num_vertices() / 2);
   core::Walt walt(g, 0, pebbles, true);
-  core::CoverageTracker tracker(g.num_vertices());
-  tracker.absorb(walt.active());
-  for (int t = 0; t < 200000 && !tracker.complete(); ++t) {
+  sim::CoverStop cover;
+  cover.start(walt);
+  for (int t = 0; t < 200000 && !cover.complete(); ++t) {
     walt.step(gen);
     ASSERT_EQ(walt.pebbles().size(), pebbles);
-    tracker.absorb(walt.active());
+    cover.observe(walt);
   }
-  EXPECT_TRUE(tracker.complete()) << GetParam().name;
+  EXPECT_TRUE(cover.complete()) << GetParam().name;
 }
 
 TEST_P(ProcessProperties, CobraDeterministicAcrossRuns) {
@@ -123,8 +123,8 @@ TEST_P(ProcessProperties, BranchingMonotonicityOfCoverTime) {
   double k2 = 0, k3 = 0;
   constexpr int kTrials = 25;
   for (int t = 0; t < kTrials; ++t) {
-    k2 += static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
-    k3 += static_cast<double>(core::cobra_cover(g, 0, 3, gen).steps);
+    k2 += sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
+    k3 += sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 3u);
   }
   EXPECT_LT(k3, 1.5 * k2) << GetParam().name;  // slack for sampling noise
 }
@@ -135,8 +135,8 @@ TEST_P(ProcessProperties, ParallelWalksMoreWalkersNoSlower) {
   double w1 = 0, w8 = 0;
   constexpr int kTrials = 15;
   for (int t = 0; t < kTrials; ++t) {
-    w1 += static_cast<double>(core::parallel_walks_cover(g, 0, 1, gen).steps);
-    w8 += static_cast<double>(core::parallel_walks_cover(g, 0, 8, gen).steps);
+    w1 += sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, 1u);
+    w8 += sim::cover_rounds<core::ParallelWalks>(gen, g, 0u, 8u);
   }
   EXPECT_LT(w8, 1.2 * w1) << GetParam().name;
 }

@@ -8,19 +8,19 @@
 #include <vector>
 
 #include "core/cobra_walk.hpp"
-#include "core/cover_time.hpp"
-#include "core/hitting_time.hpp"
+#include "core/gossip.hpp"
+#include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 #include "parallel/monte_carlo.hpp"
+#include "sim/runner.hpp"
 #include "stats/regression.hpp"
 #include "stats/summary.hpp"
 
 namespace cobra {
 namespace {
 
-using core::CoverResult;
 using core::Engine;
 using graph::Graph;
 using graph::Vertex;
@@ -33,8 +33,8 @@ double mean_cobra_cover(const Graph& g, Vertex start, int trials,
   const auto results =
       par::run_trials(par::global_pool(), opts,
                       [&](Engine& gen, std::uint32_t) {
-                        return static_cast<double>(
-                            core::cobra_cover(g, start, 2, gen).steps);
+                        return sim::cover_rounds<core::CobraWalk>(
+                            gen, g, start, 2u);
                       });
   return stats::mean_of(results);
 }
@@ -63,7 +63,7 @@ TEST(TheoremSmoke, PathRandomWalkIsQuadratic) {
     opts.base_seed = 200 + side;
     const auto results = par::run_trials(
         par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-          return static_cast<double>(core::random_walk_cover(g, 0, gen).steps);
+          return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
         });
     ns.push_back(side);
     covers.push_back(stats::mean_of(results));
@@ -94,12 +94,12 @@ TEST(TheoremSmoke, LollipopCobraBeatsRandomWalk) {
   opts.base_seed = 401;
   const auto cobra = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+        return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
       });
   opts.base_seed = 402;
   const auto rw = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::random_walk_cover(g, 0, gen).steps);
+        return sim::cover_rounds<core::RandomWalk>(gen, g, 0u);
       });
   EXPECT_LT(stats::mean_of(cobra) * 5, stats::mean_of(rw));
 }
@@ -109,7 +109,7 @@ TEST(TheoremSmoke, LollipopCobraBeatsRandomWalk) {
 TEST(TheoremSmoke, MatthewsBoundHolds) {
   const Graph g = graph::make_grid(2, 6);  // n = 36
   Engine gen(11);
-  const core::HmaxEstimate hmax = core::estimate_cobra_hmax(g, 2, gen, 40, 10);
+  const sim::HmaxEstimate hmax = sim::estimate_cobra_hmax(g, 2, gen, 40, 10);
   ASSERT_TRUE(hmax.all_hit);
   const double cover = mean_cobra_cover(g, 0, 40, 501);
   const double bound = hmax.hmax * std::log(g.num_vertices());
@@ -126,13 +126,13 @@ TEST(TheoremSmoke, WaltDominatesCobra) {
   opts.base_seed = 601;
   const auto cobra = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+        return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
       });
   opts.base_seed = 602;
   const auto walt = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(
-            core::walt_cover(g, 0, g.num_vertices() / 2, true, gen).steps);
+        return sim::cover_rounds<core::Walt>(gen, g, 0u, g.num_vertices() / 2,
+                                             true);
       });
   // Dominance is on distributions; compare means with slack for noise.
   EXPECT_GT(stats::mean_of(walt), 0.8 * stats::mean_of(cobra));
@@ -165,12 +165,13 @@ TEST(TheoremSmoke, CobraComparableToGossipOnExpander) {
   opts.base_seed = 801;
   const auto cobra = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::cobra_cover(g, 0, 2, gen).steps);
+        return sim::cover_rounds<core::CobraWalk>(gen, g, 0u, 2u);
       });
   opts.base_seed = 802;
   const auto gossip = par::run_trials(
       par::global_pool(), opts, [&](Engine& gen, std::uint32_t) {
-        return static_cast<double>(core::gossip_push_cover(g, 0, gen).steps);
+        return sim::cover_rounds<core::Gossip>(gen, g, 0u,
+                                               core::GossipMode::Push);
       });
   const double ratio = stats::mean_of(cobra) / stats::mean_of(gossip);
   EXPECT_GT(ratio, 0.2);
@@ -188,8 +189,7 @@ TEST(TheoremSmoke, CycleHittingSubquadratic) {
     opts.base_seed = 900 + n;
     const auto results = par::run_trials(
         par::global_pool(), opts, [&, n](Engine& gen, std::uint32_t) {
-          return static_cast<double>(
-              core::cobra_hit(g, 0, n / 2, 2, gen).steps);
+          return sim::hit_rounds<core::CobraWalk>(gen, n / 2, g, 0u, 2u);
         });
     ns.push_back(n);
     hits.push_back(stats::mean_of(results));

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -299,6 +300,65 @@ TEST_F(CheckpointTest, BudgetCoversTheWholeRunNotJustTheResumedHalf) {
   EXPECT_FALSE(second.stopped);
   EXPECT_EQ(second.rounds, 10u);
   EXPECT_EQ(walk2.round(), 10u);  // restored, not re-stepped
+}
+
+// A hook with start() but no checkpoint state: resume must re-start it,
+// inside AnyOf exactly as at top level.
+struct StartProbe {
+  std::optional<std::uint64_t> anchor;  ///< process round at last start()
+  template <sim::Process P>
+  void start(const P& p) {
+    anchor = p.round();
+  }
+  template <sim::Process P>
+  [[nodiscard]] bool done(const P&) const {
+    return false;
+  }
+};
+
+TEST_F(CheckpointTest, AnyOfMembersAreRestartedOnResume) {
+  const graph::Graph g = gen::build_graph("ring:n=256");
+  const std::string any_snap = temp_path("any_of.snap");
+  const std::string top_snap = temp_path("top_level.snap");
+  {
+    core::Engine gen(8);
+    core::CobraWalk walk(g, 0, 2);
+    sim::CoverStop cover;
+    StartProbe probe;
+    const auto r = sim::Runner(6).run_snapshotting(
+        walk, gen, sim::SnapshotPolicy{any_snap, 3}, sim::any_of(cover, probe));
+    ASSERT_FALSE(r.stopped);
+    EXPECT_EQ(probe.anchor, 0u);
+  }
+  {
+    core::Engine gen(8);
+    core::CobraWalk walk(g, 0, 2);
+    sim::CoverStop cover;
+    StartProbe probe;
+    const auto r = sim::Runner(6).run_snapshotting(
+        walk, gen, sim::SnapshotPolicy{top_snap, 3}, cover, probe);
+    ASSERT_FALSE(r.stopped);
+  }
+
+  core::Engine gen(8);
+  core::CobraWalk walk(g, 0, 2);
+  sim::CoverStop cover;
+  StartProbe probe;
+  const auto r = sim::Runner(1u << 18).resume_from(
+      walk, gen, sim::SnapshotPolicy{any_snap, 0}, sim::any_of(cover, probe));
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(probe.anchor, 6u);  // re-started at the restored round
+
+  core::Engine top_gen(8);
+  core::CobraWalk top_walk(g, 0, 2);
+  sim::CoverStop top_cover;
+  StartProbe top_probe;
+  const auto top = sim::Runner(1u << 18).resume_from(
+      top_walk, top_gen, sim::SnapshotPolicy{top_snap, 0}, top_cover,
+      top_probe);
+  EXPECT_TRUE(top.stopped);
+  EXPECT_EQ(top_probe.anchor, probe.anchor);
+  EXPECT_EQ(top.rounds, r.rounds);
 }
 
 TEST_F(CheckpointTest, ObserverPackMismatchIsDetectedOnResume) {

@@ -12,10 +12,10 @@
 ///   --slack      two-sided relative tolerance for value fields
 ///                (default 0.05)
 ///   --time-slack opt IN to gating timing fields (names containing
-///                per_sec / seconds / speedup / throughput / time) at this
-///                tolerance; without it they are skipped, so a checked-in
-///                baseline gates semantics on any host while perf gating
-///                stays a deliberate same-host decision
+///                per_sec / seconds / speedup / efficiency / throughput /
+///                time) at this tolerance; without it they are skipped, so
+///                a checked-in baseline gates semantics on any host while
+///                perf gating stays a deliberate same-host decision
 ///   --report     also write the machine-readable verdict JSON here
 ///
 /// Exit codes: 0 = gate passed, 1 = gate FAILED (regression, missing
