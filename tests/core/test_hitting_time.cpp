@@ -1,42 +1,53 @@
-#include "core/hitting_time.hpp"
+// Tests for hitting-time measurement: run_hit and the hit_rounds
+// one-shots, and estimate_cobra_hmax.
 
 #include <gtest/gtest.h>
 
+#include "core/biased_walk.hpp"
 #include "core/cobra_walk.hpp"
 #include "core/random_walk.hpp"
 #include "graph/generators.hpp"
+#include "sim/runner.hpp"
 
-namespace cobra::core {
+namespace cobra::sim {
 namespace {
 
+using core::BiasedWalk;
+using core::CobraWalk;
+using core::Engine;
+using core::RandomWalk;
+using graph::Graph;
 using graph::make_complete;
 using graph::make_cycle;
+using graph::make_grid;
 using graph::make_path;
+using graph::make_star;
 
-TEST(RunToHit, TargetAlreadyActiveIsZero) {
+TEST(RunHit, TargetAlreadyActiveIsZero) {
   const Graph g = make_cycle(8);
   Engine gen(1);
   CobraWalk walk(g, 3, 2);
-  const HitResult r = run_to_hit(walk, 3, gen, 100);
-  EXPECT_TRUE(r.hit);
-  EXPECT_EQ(r.steps, 0u);
+  const RunResult r = run_hit(walk, 3, gen, 100);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(r.rounds, 0u);
 }
 
-TEST(RunToHit, RespectsBudget) {
+TEST(RunHit, RespectsBudget) {
   const Graph g = make_cycle(100000);
   Engine gen(2);
   RandomWalk walk(g, 0);
-  const HitResult r = run_to_hit(walk, 50000, gen, 20);
-  EXPECT_FALSE(r.hit);
-  EXPECT_EQ(r.steps, 20u);
+  const RunResult r = run_hit(walk, 50000, gen, 20);
+  EXPECT_FALSE(r.stopped);
+  EXPECT_EQ(r.rounds, 20u);
 }
 
-TEST(RunToHit, AdjacentVertexOnPathOfTwo) {
+TEST(RunHit, AdjacentVertexOnPathOfTwo) {
   const Graph g = make_path(2);
   Engine gen(3);
-  const HitResult r = random_walk_hit(g, 0, 1, gen);
-  EXPECT_TRUE(r.hit);
-  EXPECT_EQ(r.steps, 1u);  // only one possible move
+  RandomWalk walk(g, 0);
+  const RunResult r = run_hit(walk, 1, gen);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_EQ(r.rounds, 1u);  // only one possible move
 }
 
 TEST(CobraHit, MeanMatchesKnownCycleScale) {
@@ -46,9 +57,10 @@ TEST(CobraHit, MeanMatchesKnownCycleScale) {
   double total = 0;
   constexpr int kTrials = 100;
   for (int t = 0; t < kTrials; ++t) {
-    const HitResult r = cobra_hit(g, 0, 16, 2, gen);
-    ASSERT_TRUE(r.hit);
-    total += static_cast<double>(r.steps);
+    CobraWalk walk(g, 0, 2);
+    const RunResult r = run_hit(walk, 16, gen);
+    ASSERT_TRUE(r.stopped);
+    total += static_cast<double>(r.rounds);
   }
   const double mean = total / kTrials;
   EXPECT_GT(mean, 16.0);   // at least the distance
@@ -61,12 +73,14 @@ TEST(CobraHit, FasterThanRandomWalkOnCycle) {
   double cobra_total = 0, rw_total = 0;
   constexpr int kTrials = 60;
   for (int t = 0; t < kTrials; ++t) {
-    const HitResult rc = cobra_hit(g, 0, 32, 2, gen);
-    ASSERT_TRUE(rc.hit);
-    cobra_total += static_cast<double>(rc.steps);
-    const HitResult rr = random_walk_hit(g, 0, 32, gen);
-    ASSERT_TRUE(rr.hit);
-    rw_total += static_cast<double>(rr.steps);
+    CobraWalk cobra(g, 0, 2);
+    const RunResult rc = run_hit(cobra, 32, gen);
+    ASSERT_TRUE(rc.stopped);
+    cobra_total += static_cast<double>(rc.rounds);
+    RandomWalk walk(g, 0);
+    const RunResult rr = run_hit(walk, 32, gen);
+    ASSERT_TRUE(rr.stopped);
+    rw_total += static_cast<double>(rr.rounds);
   }
   EXPECT_LT(cobra_total * 2, rw_total);
 }
@@ -96,10 +110,57 @@ TEST(EstimateHmax, SampledPairs) {
 TEST(InverseDegreeHit, ReachesTarget) {
   const Graph g = make_complete(10);
   Engine gen(8);
-  const HitResult r = inverse_degree_hit(g, 0, 5, gen);
-  EXPECT_TRUE(r.hit);
-  EXPECT_GE(r.steps, 1u);
+  BiasedWalk walk(g, 0, 5, core::BiasSchedule::InverseDegreeBias);
+  const RunResult r = run_hit(walk, 5, gen);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_GE(r.rounds, 1u);
+}
+
+// Pinned reference results: round counts, and the engine's next draw
+// afterwards. A change in either means a measurement now consumes
+// different randomness, which would shift every bench table.
+TEST(PinnedMeasurements, HitOneShots) {
+  {
+    Engine gen(106);
+    EXPECT_EQ(hit_rounds<CobraWalk>(gen, 16, make_cycle(32), 0u, 2u), 26.0);
+    EXPECT_EQ(gen(), 8347574068923765012ull);
+  }
+  {
+    Engine gen(107);
+    EXPECT_EQ(hit_rounds<RandomWalk>(gen, 24, make_grid(2, 5), 0u), 26.0);
+    EXPECT_EQ(gen(), 11978181072026176647ull);
+  }
+  {
+    Engine gen(108);
+    EXPECT_EQ(hit_rounds<BiasedWalk>(gen, 2, make_star(16), 1u, 2u,
+                                     core::BiasSchedule::InverseDegreeBias),
+              32.0);
+    EXPECT_EQ(gen(), 14651016406987682031ull);
+  }
+}
+
+TEST(PinnedMeasurements, EstimateHmax) {
+  {
+    Engine gen(109);
+    const HmaxEstimate est = estimate_cobra_hmax(make_path(6), 2, gen, 0, 5);
+    EXPECT_DOUBLE_EQ(est.hmax, 46.0 / 5);
+    EXPECT_EQ(est.argmax_from, 1u);
+    EXPECT_EQ(est.argmax_to, 5u);
+    EXPECT_EQ(est.pairs, 30u);
+    EXPECT_TRUE(est.all_hit);
+    EXPECT_EQ(gen(), 10578855735207141518ull);
+  }
+  {
+    Engine gen(110);
+    const HmaxEstimate est = estimate_cobra_hmax(make_cycle(20), 2, gen, 30, 5);
+    EXPECT_DOUBLE_EQ(est.hmax, 92.0 / 5);
+    EXPECT_EQ(est.argmax_from, 3u);
+    EXPECT_EQ(est.argmax_to, 11u);
+    EXPECT_EQ(est.pairs, 30u);
+    EXPECT_TRUE(est.all_hit);
+    EXPECT_EQ(gen(), 13955623664416482092ull);
+  }
 }
 
 }  // namespace
-}  // namespace cobra::core
+}  // namespace cobra::sim
