@@ -2,29 +2,25 @@
 /// process and graph family in the library. This is the "swiss-army"
 /// example; the bench/ binaries are scripted versions of specific slices.
 ///
-///   $ ./cover_time_explorer --family grid --n 1024 --k 2 --trials 100
+///   $ ./cover_time_explorer --graph grid:n=1024 --k 2 --trials 100
 ///   $ ./cover_time_explorer --graph rreg:n=4096,d=6,seed=7 --process walt
 ///   $ ./cover_time_explorer --graph "gnp:n=2^16,avg_deg=8,lcc=1"
 ///
 /// Flags:
 ///   --graph     a GraphSpec string built through the gen registry (run
-///               with a bad spec to print the grammar table); overrides
-///               --family
-///   --family    path|cycle|complete|star|grid|grid3|torus|hypercube|tree|
-///               lollipop|barbell|regular|er|powerlaw|ba|geometric  [grid]
+///               with a bad spec to print the grammar table)  [grid:n=1024]
 ///   --file      load an edge-list file instead of generating (see
-///               io/graph_io.hpp for the format); overrides --family
+///               io/graph_io.hpp for the format); ignored when --graph is
+///               given
 ///   --process   cobra|rw|gossip|pushpull|parallel|walt             [cobra]
-///   --n         target vertex count (rounded per family)           [1024]
 ///   --k         cobra branching / parallel walker count            [2]
-///   --degree    degree for regular family                          [4]
 ///   --trials    Monte-Carlo trials                                 [50]
 ///   --precision adaptive mode: run until the 95% CI half-width is
 ///               below this fraction of the mean (overrides --trials)
-///   --seed      base seed                                          [1]
+///   --seed      base seed of the trials                            [1]
 ///   --curve     also print the coverage curve of one run           [false]
 
-#include <cmath>
+#include <algorithm>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -35,7 +31,6 @@
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 #include "io/args.hpp"
 #include "io/graph_flag.hpp"
@@ -52,61 +47,8 @@ namespace {
 
 using namespace cobra;
 
-graph::Graph build_family(const std::string& family, std::uint32_t n,
-                          std::uint32_t degree, core::Engine& gen) {
-  if (family == "path") return graph::make_path(n);
-  if (family == "cycle") return graph::make_cycle(n);
-  if (family == "complete") return graph::make_complete(n);
-  if (family == "star") return graph::make_star(n);
-  if (family == "grid") {
-    auto side = static_cast<std::uint32_t>(std::round(std::sqrt(n)));
-    return graph::make_grid(2, std::max(2u, side));
-  }
-  if (family == "grid3") {
-    auto side = static_cast<std::uint32_t>(std::round(std::cbrt(n)));
-    return graph::make_grid(3, std::max(2u, side));
-  }
-  if (family == "torus") {
-    auto side = static_cast<std::uint32_t>(std::round(std::sqrt(n)));
-    return graph::make_grid(2, std::max(3u, side), true);
-  }
-  if (family == "hypercube") {
-    std::uint32_t dim = 1;
-    while ((1u << (dim + 1)) <= n) ++dim;
-    return graph::make_hypercube(dim);
-  }
-  if (family == "tree") {
-    std::uint32_t levels = 1, total = 1, layer = 1;
-    while (total + layer * 2 <= n) {
-      layer *= 2;
-      total += layer;
-      ++levels;
-    }
-    return graph::make_kary_tree(2, levels);
-  }
-  if (family == "lollipop") return graph::make_lollipop(2 * n / 3, n / 3);
-  if (family == "barbell") return graph::make_barbell(n / 3, n / 3);
-  if (family == "regular") {
-    const std::uint32_t even_n = (n * degree) % 2 == 0 ? n : n + 1;
-    return graph::make_random_regular(gen, even_n, degree);
-  }
-  if (family == "er") {
-    const double p = 2.0 * std::log(n) / n;
-    return graph::largest_component(graph::make_erdos_renyi(gen, n, p)).graph;
-  }
-  if (family == "powerlaw") {
-    return graph::largest_component(
-               graph::make_chung_lu_power_law(gen, n, 2.5, 3.0))
-        .graph;
-  }
-  if (family == "ba") return graph::make_barabasi_albert(gen, n, 3);
-  if (family == "geometric") {
-    const double r = 1.8 * std::sqrt(std::log(n) / (3.14159265 * n));
-    return graph::largest_component(graph::make_random_geometric(gen, n, r))
-        .graph;
-  }
-  throw std::invalid_argument("unknown family: " + family);
-}
+/// A 32x32 grid, the setting of the paper's Theorem 3.
+const std::string kDefaultGraph = "grid:n=1024";
 
 /// Every process runs to cover through the one shared sim::Runner — adding
 /// a process here is "construct it, hand it to cover_rounds", nothing else.
@@ -140,38 +82,33 @@ double run_process(const std::string& process, const graph::Graph& g,
 
 int main(int argc, char** argv) {
   const io::Args args(argc, argv,
-                      {"family", "graph", "process", "n", "k", "degree",
-                       "trials", "seed", "curve", "file", "precision"});
-  const std::string family = args.get("family", "grid");
+                      {io::kGraphFlag, "process", "k", "trials", "seed",
+                       "curve", "file", "precision"});
   const std::string process = args.get("process", "cobra");
-  const auto n = static_cast<std::uint32_t>(args.get_uint("n", 1024));
   const auto k = static_cast<std::uint32_t>(args.get_uint("k", 2));
-  const auto degree = static_cast<std::uint32_t>(args.get_uint("degree", 4));
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 50));
   const std::uint64_t seed = args.get_uint("seed", 1);
   const bool curve = args.get_bool("curve", false);
 
-  core::Engine graph_gen(seed);
+  const bool from_file = args.has("file") && !args.has(io::kGraphFlag);
+  const std::string source =
+      from_file ? args.get("file", "")
+                : io::graph_spec_from_args(args, kDefaultGraph);
   graph::Graph g;
-  if (args.has("graph")) {
+  if (from_file) {
+    g = graph::largest_component(io::load_edge_list(source)).graph;
+  } else {
     try {
-      g = io::graph_from_args(args, "");
+      g = io::graph_from_args(args, kDefaultGraph);
     } catch (const std::invalid_argument& e) {
       // Same contract as the benches: a typo'd spec prints the grammar
       // table (graph_from_args appends it) and exits cleanly.
       std::cerr << e.what() << "\n";
       return 1;
     }
-  } else if (args.has("file")) {
-    g = graph::largest_component(io::load_edge_list(args.get("file", "")))
-            .graph;
-  } else {
-    g = build_family(family, n, degree, graph_gen);
   }
 
-  std::cout << "family = "
-            << (args.has("graph") ? args.get("graph", "") : family)
-            << ", n = " << g.num_vertices()
+  std::cout << "graph = " << source << ", n = " << g.num_vertices()
             << ", m = " << g.num_edges() << ", degrees in ["
             << g.min_degree() << ", " << g.max_degree() << "]\n";
   if (g.num_vertices() <= 4096) {

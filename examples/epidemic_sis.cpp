@@ -10,10 +10,12 @@
 ///
 ///   $ ./epidemic_sis [--n 2000] [--contacts 2] [--seed 7]
 
+#include <cmath>
 #include <iostream>
+#include <string>
 
 #include "core/sis_epidemic.hpp"
-#include "graph/algorithms.hpp"
+#include "gen/registry.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
@@ -74,28 +76,23 @@ int main(int argc, char** argv) {
   const auto contacts = static_cast<std::uint32_t>(args.get_uint("contacts", 2));
   const std::uint64_t seed = args.get_uint("seed", 7);
 
-  core::Engine graph_gen(seed);
+  const std::string size = "n=" + std::to_string(n);
+  const std::string seeded = ",seed=" + std::to_string(seed) + ",lcc=1";
 
-  // Power-law contact network (superspreaders): take the giant component so
-  // the epidemic can reach everyone.
-  {
-    const graph::Graph raw =
-        graph::make_chung_lu_power_law(graph_gen, n, 2.5, 3.0);
-    const auto giant = graph::largest_component(raw);
-    run_outbreak(giant.graph, "power-law contact network (giant component)",
-                 contacts, seed + 1);
-  }
+  // Power-law contact network (superspreaders): lcc=1 keeps the giant
+  // component so the epidemic can reach everyone.
+  run_outbreak(gen::build_graph("chunglu:" + size + ",gamma=2.5,min_deg=3" +
+                                seeded),
+               "power-law contact network (giant component)", contacts,
+               seed + 1);
 
-  // Random geometric graph (proximity contacts), radius just above the
-  // connectivity threshold.
-  {
-    const double radius = 1.8 * std::sqrt(std::log(static_cast<double>(n)) /
-                                          (3.14159265 * n));
-    const graph::Graph raw = graph::make_random_geometric(graph_gen, n, radius);
-    const auto giant = graph::largest_component(raw);
-    run_outbreak(giant.graph, "random geometric contact network (giant component)",
-                 contacts, seed + 2);
-  }
+  // Random geometric graph (proximity contacts), radius 1.8x the
+  // connectivity threshold sqrt(ln n / (pi n)): avg_deg = pi n r^2.
+  const double avg_deg = 1.8 * 1.8 * std::log(static_cast<double>(n));
+  run_outbreak(gen::build_graph("geo:" + size + ",avg_deg=" +
+                                std::to_string(avg_deg) + seeded),
+               "random geometric contact network (giant component)", contacts,
+               seed + 2);
 
   // The same outbreak with more contacts per round, on a hypercube "office
   // building" topology, to show the effect of the branching factor.

@@ -21,6 +21,7 @@
 #include "core/cobra_walk.hpp"
 #include "core/gossip.hpp"
 #include "core/parallel_walks.hpp"
+#include "gen/registry.hpp"
 #include "graph/generators.hpp"
 #include "io/args.hpp"
 #include "io/table.hpp"
@@ -35,22 +36,23 @@ int main(int argc, char** argv) {
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 50));
   const std::uint64_t seed = args.get_uint("seed", 3);
 
-  core::Engine graph_gen(seed);
-
   struct Network {
     std::string name;
     graph::Graph graph;
   };
   std::uint32_t dim = 1;
   while ((1u << (dim + 1)) <= n) ++dim;
-  std::uint32_t side = 2;
-  while ((side + 1) * (side + 1) <= n) ++side;
+  const std::string size = "n=" + std::to_string(n);
+  const std::string seeded = ",seed=" + std::to_string(seed);
 
+  // Dissemination must reach every vertex, so the preferential-attachment
+  // graph (connected only w.h.p.) keeps its largest component.
   const std::vector<Network> networks = {
-      {"random 6-regular", graph::make_random_regular(graph_gen, n, 6)},
+      {"random 6-regular", gen::build_graph("rreg:" + size + ",d=6" + seeded)},
       {"hypercube", graph::make_hypercube(dim)},
-      {"2-D grid", graph::make_grid(2, side)},
-      {"preferential attachment", graph::make_barabasi_albert(graph_gen, n, 3)},
+      {"2-D grid", gen::build_graph("grid:" + size)},
+      {"preferential attachment",
+       gen::build_graph("ba:" + size + ",d=3" + seeded + ",lcc=1")},
   };
 
   struct Protocol {

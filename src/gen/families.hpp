@@ -13,9 +13,9 @@
 /// into its own edge buffer, and buffers are concatenated in chunk order.
 /// Thread count only decides which worker runs which chunk, so the emitted
 /// edge list — and therefore the assembled CSR — is bit-identical across
-/// 1, 2, ... N threads and identical to the in-line serial path. This is
-/// the same determinism contract as core::FrontierEngine, applied to
-/// KaGen-style graph generation.
+/// 1, 2, ... N threads (a 1-thread pool takes the in-line serial path).
+/// This is the same determinism contract as core::FrontierEngine, applied
+/// to KaGen-style graph generation.
 ///
 /// The chunk-size constants are part of that contract: changing one changes
 /// the graphs a given seed produces (a new RNG-to-work assignment), so they
@@ -41,16 +41,21 @@
 ///            by the serial edge-swap repair pass
 ///   * geo  — random geometric graph; points chunk-parallel, neighbor search
 ///            grid-bucketed, edge scan chunked over vertices
+///   * chunglu — Chung–Lu expected power-law degrees via serial
+///            Miller–Hagberg skip sampling from one engine seeded by `seed`
+///
+/// These functions and the registry (registry.hpp) are the only way the
+/// library builds a random graph; graph/generators.hpp keeps only the
+/// deterministic constructors.
 
 namespace cobra::gen {
 
 /// Execution knobs. These affect SPEED only, never the generated graph.
 struct GenOptions {
-  /// Pool to spread chunks over; nullptr means par::global_pool().
+  /// Pool to spread chunks over; nullptr means par::global_pool(). A
+  /// 1-thread pool, or a call from inside a pool worker, runs every chunk
+  /// in-line.
   par::ThreadPool* pool = nullptr;
-  /// Force the in-line serial path (never touches any pool — useful for
-  /// tests and for callers generating from inside a pool worker).
-  bool serial = false;
 };
 
 /// G(n, p). Each of the C(n,2) pairs appears independently with
@@ -103,7 +108,6 @@ struct GenOptions {
 /// sort-by-hashed-key stub permutation, then serial edge-swap repair (up
 /// to `max_passes` passes). Requires n*d even, d < n; throws
 /// std::runtime_error when repair fails (d too large for n).
-/// graph::make_random_regular is a thin wrapper over this.
 [[nodiscard]] graph::Graph random_regular(std::uint32_t n, std::uint32_t d,
                                           std::uint64_t seed,
                                           const GenOptions& opts = {},
@@ -115,5 +119,14 @@ struct GenOptions {
 [[nodiscard]] graph::Graph random_geometric(std::uint32_t n, double radius,
                                             std::uint64_t seed,
                                             const GenOptions& opts = {});
+
+/// Chung–Lu graph with expected power-law degree sequence of exponent
+/// `gamma` (typically 2 < gamma < 3) and minimum expected degree `min_deg`:
+/// edge {u,v} appears with probability min(1, w_u w_v / sum_w). Serial
+/// (one rng::Xoshiro256(seed) engine), so it takes no GenOptions. Not
+/// necessarily connected. Requires n >= 2, gamma > 1, min_deg > 0, and a
+/// finite total weight; throws std::invalid_argument otherwise.
+[[nodiscard]] graph::Graph chung_lu(std::uint32_t n, double gamma,
+                                    double min_deg, std::uint64_t seed);
 
 }  // namespace cobra::gen

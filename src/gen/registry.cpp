@@ -9,7 +9,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
-#include "rng/xoshiro256.hpp"
 #include "util/fault.hpp"
 
 namespace cobra::gen {
@@ -36,12 +35,6 @@ std::uint32_t spec_n(const GraphSpec& spec) {
 
 std::uint64_t default_seed(const GraphSpec& spec) {
   return spec.get_uint("seed", 1);
-}
-
-/// Serial engine for the legacy (non-chunked) randomized generators wrapped
-/// into the registry; seeded from the spec so the one-path contract holds.
-rng::Xoshiro256 spec_engine(const GraphSpec& spec) {
-  return rng::Xoshiro256(default_seed(spec));
 }
 
 std::uint32_t side_from_spec(const GraphSpec& spec, std::uint32_t dims) {
@@ -138,10 +131,8 @@ Graph build_geo(const GraphSpec& spec, const GenOptions& opts) {
 }
 
 Graph build_chunglu(const GraphSpec& spec, const GenOptions&) {
-  auto eng = spec_engine(spec);
-  return graph::make_chung_lu_power_law(eng, spec_n(spec),
-                                        spec.get_double("gamma", 2.5),
-                                        spec.get_double("min_deg", 2.0));
+  return chung_lu(spec_n(spec), spec.get_double("gamma", 2.5),
+                  spec.get_double("min_deg", 2.0), default_seed(spec));
 }
 
 Graph build_grid(const GraphSpec& spec, const GenOptions&, bool torus) {

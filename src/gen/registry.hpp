@@ -12,10 +12,11 @@
 /// \file registry.hpp
 /// The GraphSpec registry: maps family names to generator factories and
 /// validates spec keys against each family's declared key set (typos in
-/// sweep scripts fail loudly, mirroring io::Args). This is the ONE path
-/// through which benches, examples, and test fixtures construct graphs —
-/// `build_graph("rreg:n=2^20,d=4,seed=7")` replaces per-binary hand-rolled
-/// construction.
+/// sweep scripts fail loudly, mirroring io::Args). Benches, examples and
+/// test fixtures build random graphs only through it (or through the
+/// families.hpp functions it wraps): `build_graph("rreg:n=2^20,d=4,seed=7")`
+/// replaces per-binary hand-rolled construction. The deterministic
+/// families wrap graph/generators.hpp.
 ///
 /// Shared keys, accepted by every randomized family:
 ///   seed=<S>   base RNG seed (default 1); the graph is a pure function of

@@ -416,7 +416,7 @@ class RuleRunner {
 int layer_tier(const std::string& rel_path) {
   static const std::map<std::string, int, std::less<>> kTier = {
       {"util", 0},  {"rng", 0},      {"obs", 0},  {"numeric", 0},
-      {"parallel", 1}, {"stats", 1}, {"graph", 2}, {"gen", 2},
+      {"parallel", 1}, {"stats", 1}, {"graph", 2}, {"gen", 3},
       {"io", 3},    {"lint", 3},     {"core", 4}, {"sim", 5},
       {"bench", 6}, {"tools", 7},
   };

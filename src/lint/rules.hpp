@@ -48,7 +48,8 @@
 ///   D5  layering
 ///       D5-layering       an #include that climbs the layer diagram in
 ///                         README (core/ must not include sim/ or bench/,
-///                         nothing in src/ may include bench/ or tools/, …)
+///                         graph/ must not include gen/, nothing in src/
+///                         may include bench/ or tools/, …)
 ///
 /// A finding is suppressed by annotating the offending line (or the line
 /// above, as a standalone comment) with

@@ -12,6 +12,7 @@
 #include "core/coalescing_walk.hpp"
 #include "core/cobra_walk.hpp"
 #include "core/generalized_cobra.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
@@ -24,7 +25,6 @@ using graph::make_cycle;
 using graph::make_grid;
 using graph::make_hypercube;
 using graph::make_path;
-using graph::make_random_regular;
 
 constexpr std::size_t kChunk = 256;  // shared by every compared config
 
@@ -56,7 +56,7 @@ std::vector<Vertex> run_rounds(const Graph& g, FrontierOptions opts,
 
 TEST(FrontierEngine, ParallelBitIdenticalToSerialAcrossThreadCounts) {
   Engine graph_gen(21);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   FrontierOptions serial;
   serial.chunk_size = kChunk;
@@ -76,7 +76,7 @@ TEST(FrontierEngine, ParallelBitIdenticalToSerialAcrossThreadCounts) {
 
 TEST(FrontierEngine, ParallelPathActuallyRuns) {
   Engine graph_gen(22);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   par::ThreadPool pool(2);
   FrontierOptions opts;
   opts.chunk_size = kChunk;
@@ -135,7 +135,7 @@ TEST(FrontierEngine, ParallelDenseOpsBitIdenticalToSerialOps) {
 
 TEST(FrontierEngine, CobraWalkBitIdenticalAcrossPools) {
   Engine graph_gen(23);
-  const Graph g = make_random_regular(graph_gen, 8192, 4);
+  const Graph g = gen::random_regular(8192, 4, graph_gen());
 
   CobraWalk serial_walk(g, 0, 3);
   serial_walk.engine().options().chunk_size = kChunk;
@@ -210,7 +210,7 @@ TEST(NeighborSampler, GenericPathForNonPow2AndDegreeOne) {
   Engine graph_gen(24);
   EXPECT_FALSE(NeighborSampler(make_hypercube(3)).fast_path());  // 3-regular
   EXPECT_FALSE(
-      NeighborSampler(make_random_regular(graph_gen, 100, 6)).fast_path());
+      NeighborSampler(gen::random_regular(100, 6, graph_gen())).fast_path());
   EXPECT_FALSE(NeighborSampler(make_path(2)).fast_path());  // 1-regular
   EXPECT_FALSE(NeighborSampler(make_path(5)).fast_path());  // irregular
 }
@@ -279,7 +279,7 @@ TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.n);
     Engine graph_gen(31);
-    const Graph g = make_random_regular(graph_gen, c.n, 4);
+    const Graph g = gen::random_regular(c.n, 4, graph_gen());
 
     FrontierOptions sparse;
     sparse.chunk_size = c.chunk;
@@ -301,7 +301,7 @@ TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
 
 TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {
   Engine graph_gen(32);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   FrontierOptions serial;
   serial.chunk_size = kChunk;
@@ -322,7 +322,7 @@ TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {
 
 TEST(FrontierEngine, DenseRoundsAreTakenAndCountedInAutoMode) {
   Engine graph_gen(33);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   FrontierOptions opts;
   opts.chunk_size = kChunk;
   opts.parallel_threshold = static_cast<std::size_t>(-1);
@@ -402,7 +402,7 @@ TEST(FrontierEngine, EpochStampsSurviveInterleavedDenseRounds) {
   // must therefore match the all-sparse reference exactly, including with
   // a dedupe() (epoch-consuming reset) spliced between rounds.
   Engine graph_gen(34);
-  const Graph g = make_random_regular(graph_gen, 4096, 4);
+  const Graph g = gen::random_regular(4096, 4, graph_gen());
   const TwoSampler sampler{&g, NeighborSampler(g)};
 
   auto run = [&](bool alternate) {
@@ -442,7 +442,7 @@ TEST(FrontierEngine, ParallelThresholdIsAWorkEstimate) {
   // 300 active vertices with branching_hint 8 is 2400 estimated samples:
   // above a threshold of 1000 even though the raw frontier is below it.
   Engine graph_gen(35);
-  const Graph g = make_random_regular(graph_gen, 2048, 4);
+  const Graph g = gen::random_regular(2048, 4, graph_gen());
   par::ThreadPool pool(2);
   const TwoSampler sampler{&g, NeighborSampler(g)};
   std::vector<Vertex> frontier(300);
@@ -556,7 +556,7 @@ class FrontierCounters : public ::testing::TestWithParam<CounterCase> {};
 TEST_P(FrontierCounters, EmittedRngBlocksAndPathCountsArePinned) {
   const auto [kind, mode, pooled] = GetParam();
   Engine graph_gen(36);
-  const Graph g = make_random_regular(graph_gen, 20000, 4);
+  const Graph g = gen::random_regular(20000, 4, graph_gen());
   constexpr std::uint64_t kRounds = 4;
   par::ThreadPool pool(2);
   const CountedRun run =

@@ -1,7 +1,7 @@
 /// The determinism contract of src/gen: every chunk-parallel generator is a
 /// pure function of (spec, seed) — bit-identical CSR across thread counts
-/// 1/2/8 AND identical to the forced-serial in-line path — plus structural
-/// invariants per family. Statistical distribution checks live in
+/// 1/2/8, where the 1-thread pool is the in-line serial path — plus
+/// structural invariants per family. Statistical distribution checks live in
 /// tests/integration/test_generator_statistics.cpp.
 
 #include <gtest/gtest.h>
@@ -19,13 +19,19 @@ namespace {
 
 using graph::Graph;
 
-/// Build `spec` serially and on pools of 1, 2, and 8 threads; assert all
-/// four CSR images are bit-identical, and return one of them.
+/// The serial reference: a 1-thread pool runs every chunk in-line.
+GenOptions serial_options() {
+  static par::ThreadPool one(1);
+  GenOptions opts;
+  opts.pool = &one;
+  return opts;
+}
+
+/// Build `spec` serially and on pools of 2 and 8 threads; assert all three
+/// CSR images are bit-identical, and return one of them.
 Graph assert_thread_invariant(const std::string& spec) {
-  GenOptions serial;
-  serial.serial = true;
-  const Graph reference = build_graph(spec, serial);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  const Graph reference = build_graph(spec, serial_options());
+  for (const std::size_t threads : {2u, 8u}) {
     par::ThreadPool pool(threads);
     GenOptions opts;
     opts.pool = &pool;
@@ -47,16 +53,14 @@ TEST(ParallelGen, GnpThreadInvariantAndSimple) {
 }
 
 TEST(ParallelGen, GnpSeedChangesGraph) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   const Graph a = build_graph("gnp:n=2000,avg_deg=6,seed=1", serial);
   const Graph b = build_graph("gnp:n=2000,avg_deg=6,seed=2", serial);
   EXPECT_NE(a.targets(), b.targets());
 }
 
 TEST(ParallelGen, GnpEdgeCases) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   EXPECT_EQ(gnp(100, 0.0, 1, serial).num_edges(), 0u);
   EXPECT_EQ(gnp(50, 1.0, 1, serial).num_edges(), 50u * 49u / 2);
   EXPECT_EQ(gnp(0, 0.5, 1, serial).num_vertices(), 0u);
@@ -73,8 +77,7 @@ TEST(ParallelGen, GnmThreadInvariantExactEdgesAndSimple) {
 }
 
 TEST(ParallelGen, GnmSeedChangesGraphButNeverTheEdgeCount) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   const Graph a = build_graph("gnm:n=3000,m=9000,seed=1", serial);
   const Graph b = build_graph("gnm:n=3000,m=9000,seed=2", serial);
   EXPECT_NE(a.targets(), b.targets());
@@ -83,8 +86,7 @@ TEST(ParallelGen, GnmSeedChangesGraphButNeverTheEdgeCount) {
 }
 
 TEST(ParallelGen, GnmEdgeCasesAndSpecKeys) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   EXPECT_EQ(gnm(100, 0, 1, serial).num_edges(), 0u);
   // m = C(n,2) is the complete graph — the permutation covers every pair.
   const Graph complete = gnm(60, 60 * 59 / 2, 1, serial);
@@ -110,8 +112,7 @@ TEST(ParallelGen, RmatThreadInvariantAndHeavyTailed) {
 }
 
 TEST(ParallelGen, RmatRoundsUpToPowerOfTwo) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   EXPECT_EQ(build_graph("rmat:n=1000,deg=4,seed=1", serial).num_vertices(),
             1024u);
 }
@@ -126,8 +127,7 @@ TEST(ParallelGen, WattsStrogatzThreadInvariantAndNearRegular) {
 }
 
 TEST(ParallelGen, WattsStrogatzBetaZeroIsLattice) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   const Graph g = build_graph("ws:n=100,k=4,beta=0,seed=1", serial);
   EXPECT_TRUE(g.is_regular());
   EXPECT_EQ(g.degree(0), 4u);
@@ -165,8 +165,7 @@ TEST(ParallelGen, GeneratingInsidePoolWorkerFallsBackServially) {
   // A generator invoked from a pool worker (e.g. inside a Monte-Carlo
   // trial) must not deadlock in wait_idle; it detects the worker thread
   // and runs in-line, producing the identical graph.
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   const Graph reference = build_graph("gnp:n=30000,avg_deg=6,seed=4", serial);
   par::ThreadPool pool(4);
   Graph from_worker;
@@ -181,8 +180,7 @@ TEST(ParallelGen, GeneratingInsidePoolWorkerFallsBackServially) {
 }
 
 TEST(ParallelGen, InvalidParametersThrow) {
-  GenOptions serial;
-  serial.serial = true;
+  const GenOptions serial = serial_options();
   EXPECT_THROW((void)gnp(10, -0.5, 1, serial), std::invalid_argument);
   EXPECT_THROW((void)rmat(0, 10, .5, .2, .2, 1, serial),
                std::invalid_argument);

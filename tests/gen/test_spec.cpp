@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -112,6 +113,53 @@ TEST(Registry, DeterministicFamiliesMatchDirectConstruction) {
                    graph::make_lollipop(6, 4)));
   EXPECT_TRUE(same(build_graph("dclique:clique=5"),
                    graph::make_double_clique(5)));
+}
+
+/// FNV-1a over the CSR arrays, each value as 8 little-endian bytes.
+std::uint64_t csr_hash(const graph::Graph& g) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto fold = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto offset : g.offsets()) fold(offset);
+  for (const auto target : g.targets()) fold(target);
+  return hash;
+}
+
+TEST(Registry, ChungLuOutputIsPinned) {
+  // Recorded when Chung–Lu still lived in graph/generators: moving the
+  // Miller–Hagberg loop into gen::chung_lu must not change one edge.
+  const graph::Graph g =
+      build_graph("chunglu:n=2000,gamma=2.5,min_deg=3,seed=5");
+  EXPECT_EQ(g.num_vertices(), 2000u);
+  EXPECT_EQ(g.num_edges(), 7956u);
+  EXPECT_EQ(csr_hash(g), 0x015bcd689f20b6e8ULL);
+  EXPECT_EQ(csr_hash(chung_lu(2000, 2.5, 3.0, 5)), csr_hash(g));
+}
+
+TEST(Registry, ChungLuRejectsDegenerateWeights) {
+  // All-zero weights (min_deg = 0) and overflowing weights (gamma just
+  // above 1) made every pair probability NaN, which min(1, NaN) turned
+  // into the complete graph; a negative min_deg silently gave no edges.
+  EXPECT_THROW((void)build_graph("chunglu:n=1000,min_deg=0"),
+               std::invalid_argument);
+  EXPECT_THROW((void)build_graph("chunglu:n=1000,gamma=1.0000001"),
+               std::invalid_argument);
+  EXPECT_THROW((void)build_graph("chunglu:n=1000,min_deg=-3"),
+               std::invalid_argument);
+  EXPECT_THROW((void)build_graph("chunglu:n=1000,gamma=1"),
+               std::invalid_argument);
+}
+
+TEST(Registry, TreeOfTwoTo32VerticesIsRejected) {
+  // 1 + (2^32 - 1) = 2^32 vertices does not fit a 32-bit vertex id; the
+  // count used to wrap to 0 and the edge reservation to 2^32 - 1.
+  EXPECT_THROW((void)build_graph("tree:levels=2,arity=4294967295"),
+               std::invalid_argument);
+  EXPECT_EQ(build_graph("tree:levels=2,arity=5").num_vertices(), 6u);
 }
 
 TEST(Registry, GridSugarDerivesSideFromN) {

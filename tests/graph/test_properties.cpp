@@ -4,7 +4,9 @@
 
 #include <numeric>
 
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace cobra::graph {
 namespace {
@@ -53,10 +55,9 @@ TEST(Properties, LocalClusteringHandComputed) {
 }
 
 TEST(Properties, GeometricGraphHasHighClustering) {
-  rng::Xoshiro256 gen(1);
-  const Graph geometric = make_random_geometric(gen, 800, 0.08);
-  const Graph er = make_erdos_renyi(gen, 800,
-                                    geometric.average_degree() / 799.0);
+  rng::Xoshiro256 eng(1);
+  const Graph geometric = gen::random_geometric(800, 0.08, eng());
+  const Graph er = gen::gnp(800, geometric.average_degree() / 799.0, eng());
   // Proximity graphs have strong triangle closure; ER of equal density
   // does not.
   EXPECT_GT(average_clustering(geometric), 0.4);
@@ -75,15 +76,13 @@ TEST(Properties, AssortativityRegularIsZeroByConvention) {
 }
 
 TEST(Properties, AssortativityPreferentialAttachmentNegative) {
-  rng::Xoshiro256 gen(2);
-  const Graph g = make_barabasi_albert(gen, 2000, 3);
+  const Graph g = gen::barabasi_albert(2000, 3, 2);
   EXPECT_LT(degree_assortativity(g), 0.0);
   EXPECT_GT(degree_assortativity(g), -1.0);
 }
 
 TEST(Properties, HillEstimatorRecoversChungLuGamma) {
-  rng::Xoshiro256 gen(3);
-  const Graph g = make_chung_lu_power_law(gen, 20000, 2.5, 3.0);
+  const Graph g = gen::chung_lu(20000, 2.5, 3.0, 3);
   const double gamma = hill_tail_exponent(g, 10);
   EXPECT_GT(gamma, 2.0);
   EXPECT_LT(gamma, 3.2);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "rng/distributions.hpp"
 #include "rng/pcg32.hpp"
@@ -74,7 +75,7 @@ TEST(CrossRng, CobraCoverMeansAgreeOnGrid) {
 
 TEST(CrossRng, CobraCoverMeansAgreeOnExpander) {
   rng::Xoshiro256 graph_gen(5);
-  const Graph g = graph::make_random_regular(graph_gen, 128, 4);
+  const Graph g = gen::random_regular(128, 4, graph_gen());
   constexpr int kTrials = 300;
   double xo_total = 0, pcg_total = 0;
   for (int t = 0; t < kTrials; ++t) {

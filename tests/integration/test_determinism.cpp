@@ -12,6 +12,7 @@
 #include "core/grid_drift.hpp"
 #include "core/pair_walk.hpp"
 #include "core/walt.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/monte_carlo.hpp"
 #include "sim/runner.hpp"
@@ -35,17 +36,15 @@ void expect_same_graph(MakeGraph&& make) {
 
 TEST(Determinism, AllRandomGeneratorsSeedPure) {
   expect_same_graph(
-      [](rng::Xoshiro256& gen) { return graph::make_random_regular(gen, 80, 4); });
+      [](rng::Xoshiro256& eng) { return gen::random_regular(80, 4, eng()); });
   expect_same_graph(
-      [](rng::Xoshiro256& gen) { return graph::make_erdos_renyi(gen, 150, 0.05); });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_chung_lu_power_law(gen, 200, 2.5);
-  });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_barabasi_albert(gen, 150, 2);
-  });
-  expect_same_graph([](rng::Xoshiro256& gen) {
-    return graph::make_random_geometric(gen, 200, 0.12);
+      [](rng::Xoshiro256& eng) { return gen::gnp(150, 0.05, eng()); });
+  expect_same_graph(
+      [](rng::Xoshiro256& eng) { return gen::chung_lu(200, 2.5, 2.0, eng()); });
+  expect_same_graph(
+      [](rng::Xoshiro256& eng) { return gen::barabasi_albert(150, 2, eng()); });
+  expect_same_graph([](rng::Xoshiro256& eng) {
+    return gen::random_geometric(200, 0.12, eng());
   });
 }
 

@@ -2,8 +2,8 @@
 /// headline statistic matches its theory within tolerance. These go beyond
 /// the structural invariants in graph/test_generators.cpp and the
 /// bit-identity contract in gen/test_parallel_gen.cpp — they check the
-/// DISTRIBUTIONS the experiments rely on, for both the legacy engine-based
-/// generators and the spec-built chunk-parallel families.
+/// DISTRIBUTIONS the experiments rely on, for the gen families called
+/// directly and through their specs.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ using graph::Graph;
 
 TEST(GeneratorStats, ErdosRenyiEdgeCountConcentrates) {
   // E[m] = C(n,2) p; repeat and compare the sample mean within 3 sigma.
-  rng::Xoshiro256 gen(1);
+  rng::Xoshiro256 eng(1);
   const std::uint32_t n = 400;
   const double p = 0.03;
   const double expected = n * (n - 1) / 2.0 * p;
@@ -32,28 +32,28 @@ TEST(GeneratorStats, ErdosRenyiEdgeCountConcentrates) {
   double total = 0.0;
   constexpr int kReps = 50;
   for (int rep = 0; rep < kReps; ++rep) {
-    total += static_cast<double>(graph::make_erdos_renyi(gen, n, p).num_edges());
+    total += static_cast<double>(gen::gnp(n, p, eng()).num_edges());
   }
   EXPECT_NEAR(total / kReps, expected, 3.0 * sigma / std::sqrt(kReps));
 }
 
 TEST(GeneratorStats, ErdosRenyiAboveThresholdIsConnected) {
   // p = 3 ln n / n is safely above the connectivity threshold.
-  rng::Xoshiro256 gen(2);
+  rng::Xoshiro256 eng(2);
   const std::uint32_t n = 300;
   const double p = 3.0 * std::log(n) / n;
   int connected = 0;
   for (int rep = 0; rep < 20; ++rep) {
-    if (graph::is_connected(graph::make_erdos_renyi(gen, n, p))) ++connected;
+    if (graph::is_connected(gen::gnp(n, p, eng()))) ++connected;
   }
   EXPECT_GE(connected, 19);
 }
 
 TEST(GeneratorStats, RandomRegularIsExpanderWhp) {
   // Random 4-regular graphs have lazy spectral gap bounded away from 0.
-  rng::Xoshiro256 gen(3);
+  rng::Xoshiro256 eng(3);
   for (int rep = 0; rep < 10; ++rep) {
-    const Graph g = graph::make_random_regular(gen, 200, 4);
+    const Graph g = gen::random_regular(200, 4, eng());
     ASSERT_TRUE(graph::is_connected(g));
     EXPECT_GT(graph::lazy_walk_spectrum(g).spectral_gap, 0.05) << rep;
   }
@@ -61,12 +61,12 @@ TEST(GeneratorStats, RandomRegularIsExpanderWhp) {
 
 TEST(GeneratorStats, RandomRegularEdgeMarginalsUniformish) {
   // Each particular edge {0, 1} appears with probability ~ d/(n-1).
-  rng::Xoshiro256 gen(4);
+  rng::Xoshiro256 eng(4);
   const std::uint32_t n = 60, d = 4;
   int present = 0;
   constexpr int kReps = 3000;
   for (int rep = 0; rep < kReps; ++rep) {
-    if (graph::make_random_regular(gen, n, d).has_edge(0, 1)) ++present;
+    if (gen::random_regular(n, d, eng()).has_edge(0, 1)) ++present;
   }
   const double expected = static_cast<double>(d) / (n - 1);
   EXPECT_NEAR(static_cast<double>(present) / kReps, expected, 0.015);
@@ -74,8 +74,7 @@ TEST(GeneratorStats, RandomRegularEdgeMarginalsUniformish) {
 
 TEST(GeneratorStats, BarabasiAlbertDegreeTailIsPowerLaw) {
   // BA degree distribution has tail exponent ~3.
-  rng::Xoshiro256 gen(5);
-  const Graph g = graph::make_barabasi_albert(gen, 20000, 3);
+  const Graph g = gen::barabasi_albert(20000, 3, 5);
   const double gamma = graph::hill_tail_exponent(g, 12);
   EXPECT_GT(gamma, 2.3);
   EXPECT_LT(gamma, 3.7);
@@ -85,18 +84,17 @@ TEST(GeneratorStats, ChungLuAverageDegreeMatchesWeights) {
   // Expected average degree for gamma = 2.5, min_deg = 3 is roughly
   // min_deg * (gamma-1)/(gamma-2) = 9 (weight-sequence mean); allow wide
   // tolerance for the cap and discreteness.
-  rng::Xoshiro256 gen(6);
-  const Graph g = graph::make_chung_lu_power_law(gen, 5000, 2.5, 3.0);
+  const Graph g = gen::chung_lu(5000, 2.5, 3.0, 6);
   EXPECT_GT(g.average_degree(), 4.0);
   EXPECT_LT(g.average_degree(), 14.0);
 }
 
 TEST(GeneratorStats, GeometricGraphDegreeMatchesDensity) {
   // E[deg] ~ n pi r^2 away from the border; measure the interior mean.
-  rng::Xoshiro256 gen(7);
+  rng::Xoshiro256 eng(7);
   const std::uint32_t n = 3000;
   const double r = 0.05;
-  const Graph g = graph::make_random_geometric(gen, n, r);
+  const Graph g = gen::random_geometric(n, r, eng());
   const double expected = n * 3.14159265 * r * r;
   // Border effects bias downward; accept [0.75, 1.05] * expected.
   EXPECT_GT(g.average_degree(), 0.75 * expected);

@@ -15,6 +15,7 @@
 #include "core/greedy_mis.hpp"
 #include "core/lll_resampler.hpp"
 #include "gen/constraints.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -44,13 +45,13 @@ std::vector<SweepCase> families() {
       {"lollipop", [] { return graph::make_lollipop(60, 40); }},
       {"regular",
        [] {
-         Engine gen(42);
-         return graph::make_random_regular(gen, 512, 4);
+         Engine eng(42);
+         return gen::random_regular(512, 4, eng());
        }},
       {"gnp",
        [] {
-         Engine gen(43);
-         return graph::make_erdos_renyi(gen, 400, 0.02);
+         Engine eng(43);
+         return gen::gnp(400, 0.02, eng());
        }},
   };
 }

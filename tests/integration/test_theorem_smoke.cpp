@@ -11,6 +11,7 @@
 #include "core/gossip.hpp"
 #include "core/random_walk.hpp"
 #include "core/walt.hpp"
+#include "gen/families.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 #include "parallel/monte_carlo.hpp"
@@ -76,8 +77,8 @@ TEST(TheoremSmoke, PathRandomWalkIsQuadratic) {
 // cobra cover time is polylogarithmic — doubling n adds little.
 TEST(TheoremSmoke, ExpanderCoverIsPolylog) {
   Engine graph_gen(7);
-  const Graph small = graph::make_random_regular(graph_gen, 128, 6);
-  const Graph large = graph::make_random_regular(graph_gen, 1024, 6);
+  const Graph small = gen::random_regular(128, 6, graph_gen());
+  const Graph large = gen::random_regular(1024, 6, graph_gen());
   const double cover_small = mean_cobra_cover(small, 0, 30, 301);
   const double cover_large = mean_cobra_cover(large, 0, 30, 302);
   // 8x the vertices must cost far less than 8x the rounds; polylog predicts
@@ -120,7 +121,7 @@ TEST(TheoremSmoke, MatthewsBoundHolds) {
 // walk's when started from the same vertex with delta*n pebbles.
 TEST(TheoremSmoke, WaltDominatesCobra) {
   Engine graph_gen(13);
-  const Graph g = graph::make_random_regular(graph_gen, 64, 4);
+  const Graph g = gen::random_regular(64, 4, graph_gen());
   par::MonteCarloOptions opts;
   opts.trials = 40;
   opts.base_seed = 601;
@@ -159,7 +160,7 @@ TEST(TheoremSmoke, TreeCoverTracksDiameter) {
 // log-factor band of push gossip (both polylog on expanders).
 TEST(TheoremSmoke, CobraComparableToGossipOnExpander) {
   Engine graph_gen(17);
-  const Graph g = graph::make_random_regular(graph_gen, 256, 6);
+  const Graph g = gen::random_regular(256, 6, graph_gen());
   par::MonteCarloOptions opts;
   opts.trials = 30;
   opts.base_seed = 801;

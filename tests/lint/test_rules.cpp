@@ -209,6 +209,10 @@ TEST(LintRules, LayeringFiresUpward) {
                    "D5-layering"));
   EXPECT_TRUE(hits("bench/x.cpp", "#include \"tools/x.hpp\"\n",
                    "D5-layering"));
+  // gen builds on graph, never the reverse: a graph/ -> gen/ include would
+  // bring back the include cycle between the two.
+  EXPECT_TRUE(hits("src/graph/x.cpp", "#include \"gen/families.hpp\"\n",
+                   "D5-layering"));
 }
 
 TEST(LintRules, LayeringAllowsDownAndSideways) {
@@ -217,6 +221,8 @@ TEST(LintRules, LayeringAllowsDownAndSideways) {
   EXPECT_FALSE(hits("src/sim/x.cpp", "#include \"core/types.hpp\"\n",
                     "D5-layering"));
   EXPECT_FALSE(hits("src/gen/x.cpp", "#include \"graph/builder.hpp\"\n",
+                    "D5-layering"));
+  EXPECT_FALSE(hits("src/io/x.cpp", "#include \"gen/registry.hpp\"\n",
                     "D5-layering"));
   // System includes and same-directory includes are unconstrained.
   EXPECT_FALSE(hits("src/core/x.cpp", "#include <vector>\n", "D5-layering"));
