@@ -1,9 +1,9 @@
 /// A3 — strong scaling of the Monte-Carlo driver: wall-clock speedup of a
 /// fixed trial budget as the thread count grows. Trials are embarrassingly
-/// parallel with heavy-tailed durations, so the dynamic schedule should
-/// scale near-linearly until memory bandwidth saturates; the static
-/// schedule shows the straggler penalty the dynamic one avoids.
-/// Results go to BENCH_parallel_scaling.json for the perf trajectory.
+/// parallel with heavy-tailed durations; run_trials claims them one at a
+/// time (dynamic schedule), so it should scale near-linearly until memory
+/// bandwidth saturates. Results go to BENCH_parallel_scaling.json for the
+/// perf trajectory.
 ///
 /// Usage: bench_parallel_scaling [--out path] [--trials T]
 ///        [--graph <spec>] [--smoke]
@@ -25,13 +25,12 @@ namespace {
 
 using namespace cobra;
 
-double timed_run(std::size_t threads, bool dynamic, const graph::Graph& g,
+double timed_run(std::size_t threads, const graph::Graph& g,
                  std::uint32_t trials) {
   par::ThreadPool pool(threads);
   par::MonteCarloOptions opts;
   opts.base_seed = 0xA3;
   opts.trials = trials;
-  opts.dynamic_schedule = dynamic;
   const auto start = std::chrono::steady_clock::now();
   const auto results = par::run_trials(pool, opts, [&](core::Engine& gen,
                                                        std::uint32_t) {
@@ -91,35 +90,28 @@ int main(int argc, char** argv) {
   }
 
   // Warm-up run so first-touch page faults don't pollute the 1-thread row.
-  (void)timed_run(2, true, g, trials / 6 + 1);
+  (void)timed_run(2, g, trials / 6 + 1);
 
-  const double serial_dynamic = timed_run(1, true, g, trials);
-  io::Table table({"threads", "dynamic (s)", "speedup", "efficiency",
-                   "static (s)", "static speedup"});
+  const double serial = timed_run(1, g, trials);
+  io::Table table({"threads", "dynamic (s)", "speedup", "efficiency"});
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const double dyn = timed_run(threads, true, g, trials);
-    const double sta = timed_run(threads, false, g, trials);
+    const double dyn = timed_run(threads, g, trials);
     table.add_row(
         {io::Table::fmt_int(static_cast<long long>(threads)),
          io::Table::fmt(dyn, 3),
-         io::Table::fmt(serial_dynamic / dyn, 2) + "x",
-         io::Table::fmt(serial_dynamic / dyn / static_cast<double>(threads) * 100.0, 0) + "%",
-         io::Table::fmt(sta, 3),
-         io::Table::fmt(serial_dynamic / sta, 2) + "x"});
+         io::Table::fmt(serial / dyn, 2) + "x",
+         io::Table::fmt(serial / dyn / static_cast<double>(threads) * 100.0, 0) + "%"});
     json.record("threads" + std::to_string(threads))
         .field("threads", static_cast<double>(threads))
         .field("dynamic_seconds", dyn)
-        .field("dynamic_speedup", serial_dynamic / dyn)
-        .field("dynamic_efficiency", serial_dynamic / dyn / static_cast<double>(threads))
-        .field("static_seconds", sta)
-        .field("static_speedup", serial_dynamic / sta);
+        .field("dynamic_speedup", serial / dyn)
+        .field("dynamic_efficiency", serial / dyn / static_cast<double>(threads));
   }
   std::cout << table << "\n";
   const bool wrote = json.write(out_path);
   std::cout
-      << "reading: near-linear speedup for the dynamic schedule through the\n"
-         "physical core count; the static schedule trails when trial\n"
-         "durations are heavy-tailed (cover times are), which is why the\n"
-         "experiment suite defaults to dynamic scheduling.\n";
+      << "reading: near-linear speedup through the physical core count;\n"
+         "trials are claimed one at a time, so heavy-tailed cover times\n"
+         "do not leave workers idle behind a straggler.\n";
   return wrote ? 0 : 1;
 }

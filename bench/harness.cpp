@@ -149,11 +149,8 @@ io::Args parse_bench_args(int argc, const char* const* argv,
     apply_injections(args);
     return args;
   } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\nflags: ";
-    for (const auto& flag : extra) std::cerr << "--" << flag << " ";
-    for (const auto& flag : shared_flags()) std::cerr << "--" << flag << " ";
-    std::cerr << "\ngraph specs:\n" << gen::grammar_help();
-    std::exit(1);
+    for (const auto& flag : shared_flags()) extra.push_back(flag);
+    io::exit_with_usage(e.what(), extra, "graph specs:\n" + gen::grammar_help());
   }
 }
 

@@ -81,9 +81,9 @@ double run_process(const std::string& process, const graph::Graph& g,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const io::Args args(argc, argv,
-                      {io::kGraphFlag, "process", "k", "trials", "seed",
-                       "curve", "file", "precision"});
+  const io::Args args = io::parse_args_or_exit(
+      argc, argv, {io::kGraphFlag, "process", "k", "trials", "seed", "curve",
+                   "file", "precision"});
   const std::string process = args.get("process", "cobra");
   const auto k = static_cast<std::uint32_t>(args.get_uint("k", 2));
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 50));

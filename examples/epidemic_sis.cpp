@@ -71,7 +71,7 @@ void run_outbreak(const cobra::graph::Graph& g, const std::string& label,
 int main(int argc, char** argv) {
   using namespace cobra;
 
-  const io::Args args(argc, argv, {"n", "contacts", "seed"});
+  const io::Args args = io::parse_args_or_exit(argc, argv, {"n", "contacts", "seed"});
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 2000));
   const auto contacts = static_cast<std::uint32_t>(args.get_uint("contacts", 2));
   const std::uint64_t seed = args.get_uint("seed", 7);

@@ -31,7 +31,7 @@
 int main(int argc, char** argv) {
   using namespace cobra;
 
-  const io::Args args(argc, argv, {"n", "trials", "seed"});
+  const io::Args args = io::parse_args_or_exit(argc, argv, {"n", "trials", "seed"});
   const auto n = static_cast<std::uint32_t>(args.get_uint("n", 1024));
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 50));
   const std::uint64_t seed = args.get_uint("seed", 3);

@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace cobra;
 
-  const io::Args args(argc, argv, {"side", "trials", "seed"});
+  const io::Args args = io::parse_args_or_exit(argc, argv, {"side", "trials", "seed"});
   const auto side = static_cast<std::uint32_t>(args.get_uint("side", 16));
   const auto trials = static_cast<std::uint32_t>(args.get_uint("trials", 100));
   const std::uint64_t seed = args.get_uint("seed", 1);

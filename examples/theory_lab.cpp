@@ -25,7 +25,7 @@
 
 int main(int argc, char** argv) {
   using namespace cobra;
-  const io::Args args(argc, argv, {"seed"});
+  const io::Args args = io::parse_args_or_exit(argc, argv, {"seed"});
   const std::uint64_t seed = args.get_uint("seed", 1);
   core::Engine gen(seed);
 

@@ -125,11 +125,12 @@ void FrontierEngine::clear_words(std::vector<std::uint64_t>& bits,
   constexpr std::size_t kClearChunkWords = std::size_t{1} << 13;  // 64 KiB
   const std::size_t n_chunks = (words + kClearChunkWords - 1) / kClearChunkWords;
   std::uint64_t* data = bits.data();
-  par::parallel_for(*pool, 0, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kClearChunkWords;
-    const std::size_t hi = std::min(words, lo + kClearChunkWords);
-    std::fill(data + lo, data + hi, std::uint64_t{0});
-  });
+  par::parallel_for_chunks(
+      *pool, n_chunks, pool->size(), [&](std::size_t, std::size_t c) {
+        const std::size_t lo = c * kClearChunkWords;
+        const std::size_t hi = std::min(words, lo + kClearChunkWords);
+        std::fill(data + lo, data + hi, std::uint64_t{0});
+      });
 }
 
 void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
@@ -168,32 +169,34 @@ void FrontierEngine::materialize_bits(std::span<const std::uint64_t> words,
   // then decodes straight into its final slot, so the ascending order is
   // positional, not a merge artifact.
   std::vector<std::size_t> offsets(n_chunks + 1, 0);
-  par::parallel_for(*pool, 0, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kDecodeChunkWords;
-    const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
-    std::size_t bits = 0;
-    for (std::size_t w = lo; w < hi; ++w) {
-      bits += static_cast<std::size_t>(std::popcount(words[w]));
-    }
-    offsets[c + 1] = bits;
-  });
+  par::parallel_for_chunks(
+      *pool, n_chunks, pool->size(), [&](std::size_t, std::size_t c) {
+        const std::size_t lo = c * kDecodeChunkWords;
+        const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
+        std::size_t bits = 0;
+        for (std::size_t w = lo; w < hi; ++w) {
+          bits += static_cast<std::size_t>(std::popcount(words[w]));
+        }
+        offsets[c + 1] = bits;
+      });
   for (std::size_t c = 0; c < n_chunks; ++c) offsets[c + 1] += offsets[c];
   assert(offsets[n_chunks] == count);
   out.resize(offsets[n_chunks]);
   Vertex* base = out.data();
-  par::parallel_for(*pool, 0, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kDecodeChunkWords;
-    const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
-    Vertex* dst = base + offsets[c];
-    for (std::size_t w = lo; w < hi; ++w) {
-      std::uint64_t word = words[w];
-      while (word != 0) {
-        *dst++ = static_cast<Vertex>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-      }
-    }
-  });
+  par::parallel_for_chunks(
+      *pool, n_chunks, pool->size(), [&](std::size_t, std::size_t c) {
+        const std::size_t lo = c * kDecodeChunkWords;
+        const std::size_t hi = std::min(n_words, lo + kDecodeChunkWords);
+        Vertex* dst = base + offsets[c];
+        for (std::size_t w = lo; w < hi; ++w) {
+          std::uint64_t word = words[w];
+          while (word != 0) {
+            *dst++ = static_cast<Vertex>(
+                (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+            word &= word - 1;
+          }
+        }
+      });
 }
 
 void FrontierEngine::ensure_workers(std::size_t workers) {

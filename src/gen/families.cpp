@@ -39,21 +39,19 @@ constexpr std::uint64_t kBaEdgesPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoPointsPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoScanVerticesPerChunk = 1u << 14;
 
-/// Run body(c) for every chunk, across the pool when one is usable. The
-/// parallel and serial paths produce identical side effects because each
-/// chunk writes only its own buffer/slice.
+/// Run body(c) for every chunk, across the pool (parallel_for_chunks runs
+/// them in-line when the pool cannot help). Every schedule produces the
+/// same side effects because each chunk writes only its own buffer/slice.
+/// A single chunk never resolves, and so never creates, the global pool.
 template <typename Body>
 void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
-  par::ThreadPool* pool = nullptr;
-  if (n_chunks > 1) {
-    pool = opts.pool != nullptr ? opts.pool : &par::global_pool();
-    if (pool->size() <= 1 || pool->on_worker_thread()) pool = nullptr;
-  }
-  if (pool == nullptr) {
-    for (std::size_t c = 0; c < n_chunks; ++c) body(c);
+  if (n_chunks <= 1) {
+    if (n_chunks == 1) body(std::size_t{0});
     return;
   }
-  par::parallel_for_dynamic(*pool, 0, n_chunks, body);
+  par::ThreadPool& pool = opts.pool != nullptr ? *opts.pool : par::global_pool();
+  par::parallel_for_chunks(pool, n_chunks, pool.size(),
+                           [&](std::size_t, std::size_t c) { body(c); });
 }
 
 /// Concatenate per-chunk edge buffers in chunk order and compile into CSR

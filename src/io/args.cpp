@@ -1,6 +1,8 @@
 #include "io/args.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace cobra::io {
@@ -89,6 +91,24 @@ double Args::get_double(const std::string& name, double fallback) const {
 bool Args::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   return it == flags_.end() ? fallback : parse_bool(it->second);
+}
+
+void exit_with_usage(const std::string& error,
+                     const std::vector<std::string>& allowed,
+                     const std::string& help) {
+  std::cerr << error << "\nflags: ";
+  for (const auto& flag : allowed) std::cerr << "--" << flag << " ";
+  std::cerr << "\n" << help;
+  std::exit(1);
+}
+
+Args parse_args_or_exit(int argc, const char* const* argv,
+                        const std::vector<std::string>& allowed) {
+  try {
+    return Args(argc, argv, allowed);
+  } catch (const std::invalid_argument& e) {
+    exit_with_usage(e.what(), allowed);
+  }
 }
 
 }  // namespace cobra::io

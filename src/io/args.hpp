@@ -44,4 +44,15 @@ class Args {
   std::vector<std::string> positional_;
 };
 
+/// The one usage-error exit of the examples and benches: print `error`,
+/// the `allowed` flags and then `help` (if any) to stderr, and exit(1).
+[[noreturn]] void exit_with_usage(const std::string& error,
+                                  const std::vector<std::string>& allowed,
+                                  const std::string& help = {});
+
+/// Args(argc, argv, allowed), except that a malformed or unknown flag ends
+/// the process through exit_with_usage instead of throwing.
+[[nodiscard]] Args parse_args_or_exit(int argc, const char* const* argv,
+                                      const std::vector<std::string>& allowed);
+
 }  // namespace cobra::io

@@ -14,8 +14,10 @@
 /// "expected cover time" statements and measurable numbers. A *trial* is a
 /// function from an independent RNG to a real-valued observation (e.g. the
 /// step at which a cobra walk covered the graph). The driver runs `trials`
-/// of them across a thread pool and returns the observations in trial-index
-/// order.
+/// of them across a thread pool, one trial per dynamic claim
+/// (par::parallel_for_chunks: cover-time trials have heavy-tailed
+/// duration, so a static split would leave workers idle), and returns the
+/// observations in trial-index order.
 ///
 /// Determinism contract: trial i always receives an engine seeded with
 /// derive_seed(base_seed, i). Results are therefore bit-identical across
@@ -27,9 +29,6 @@ namespace cobra::par {
 struct MonteCarloOptions {
   std::uint64_t base_seed = 0xC0BA5EEDULL;
   std::uint32_t trials = 100;
-  /// Dynamic scheduling by default: cover-time trials have heavy-tailed
-  /// duration, so static chunking would leave workers idle.
-  bool dynamic_schedule = true;
 };
 
 /// Runs `opts.trials` independent trials of `trial` on `pool` and returns
@@ -43,15 +42,11 @@ template <typename Trial>
 std::vector<double> run_trials(ThreadPool& pool, const MonteCarloOptions& opts,
                                Trial&& trial) {
   std::vector<double> results(opts.trials, 0.0);
-  auto body = [&](std::size_t i) {
-    rng::Xoshiro256 engine(rng::derive_seed(opts.base_seed, i));
-    results[i] = trial(engine, static_cast<std::uint32_t>(i));
-  };
-  if (opts.dynamic_schedule) {
-    parallel_for_dynamic(pool, 0, opts.trials, body);
-  } else {
-    parallel_for(pool, 0, opts.trials, body);
-  }
+  parallel_for_chunks(
+      pool, opts.trials, pool.size(), [&](std::size_t, std::size_t i) {
+        rng::Xoshiro256 engine(rng::derive_seed(opts.base_seed, i));
+        results[i] = trial(engine, static_cast<std::uint32_t>(i));
+      });
   return results;
 }
 

@@ -9,15 +9,13 @@
 #include "parallel/thread_pool.hpp"
 
 /// \file parallel_for.hpp
-/// Chunked parallel loops over index ranges, layered on ThreadPool.
-/// Three schedules are provided:
-///   * parallel_for        — static chunking; best when iterations are uniform
-///   * parallel_for_dynamic — atomic work-stealing counter; best when
-///     iteration cost varies wildly (e.g. cover-time trials whose length is
-///     itself the random variable under study).
-///   * parallel_for_chunks — dynamic claiming with stable worker ids; best
-///     when workers carry reusable scratch (claim buffers, tallies) across
-///     the chunks they claim — the FrontierEngine's range-chunk schedule.
+/// The library's one fork/join primitive, layered on ThreadPool:
+/// parallel_for_chunks hands chunk ids out dynamically (an atomic claim
+/// counter) to a fixed set of workers with stable ids. Dynamic claiming
+/// keeps workers busy when chunk cost varies wildly (cover-time trials,
+/// whose length is itself the random variable under study); the stable
+/// worker id lets callers keep reusable scratch (claim buffers, tallies)
+/// across the chunks one worker claims.
 ///
 /// Exceptions thrown by the body are captured and rethrown (first one wins)
 /// on the calling thread, so callers see normal C++ error flow.
@@ -48,74 +46,22 @@ class ExceptionCollector {
 
 }  // namespace detail
 
-/// Apply body(i) for i in [begin, end) using static chunking over `pool`.
-/// body must be invocable as void(std::size_t) and thread-safe across
-/// distinct indices.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, Body&& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, pool.size() * 4);  // mild oversubscription
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  detail::ExceptionCollector errors;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    pool.submit([lo, hi, &body, &errors] {
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_any();
-}
-
-/// Apply body(i) for i in [begin, end) with dynamic (self-scheduling)
-/// distribution: each worker repeatedly claims the next index from an atomic
-/// counter. Use when per-iteration cost is highly variable.
-template <typename Body>
-void parallel_for_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          Body&& body) {
-  if (begin >= end) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  detail::ExceptionCollector errors;
-  const std::size_t workers = std::min(pool.size(), end - begin);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([next, end, &body, &errors] {
-      try {
-        for (;;) {
-          const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-          if (i >= end) return;
-          body(i);
-        }
-      } catch (...) {
-        errors.capture();
-      }
-    });
-  }
-  pool.wait_idle();
-  errors.rethrow_if_any();
-}
-
 /// Apply body(worker, chunk) for chunk in [0, n_chunks), claimed
 /// dynamically by `workers` tasks with STABLE worker ids in [0, workers)
 /// (clamped to pool.size() and n_chunks). The worker id lets callers keep
 /// reusable per-worker scratch without allocation inside the loop, while
 /// the chunk id stays the deterministic unit of work (callers key
 /// per-chunk RNG streams off it, so results never depend on which worker
-/// ran which chunk). With 0 or 1 effective workers the chunks run in-line
-/// on the calling thread.
+/// ran which chunk). The chunks run in-line on the calling thread, as
+/// worker 0, when there is at most one effective worker or when the caller
+/// is itself one of `pool`'s workers (a nested fork/join would otherwise
+/// deadlock in wait_idle, which waits for the caller's own task too).
 template <typename Body>
 void parallel_for_chunks(ThreadPool& pool, std::size_t n_chunks,
                          std::size_t workers, Body&& body) {
   if (n_chunks == 0) return;
   workers = std::min({workers, pool.size(), n_chunks});
-  if (workers <= 1) {
+  if (workers <= 1 || pool.on_worker_thread()) {
     for (std::size_t c = 0; c < n_chunks; ++c) body(std::size_t{0}, c);
     return;
   }

@@ -60,11 +60,6 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-std::size_t ThreadPool::queued() const {
-  const std::lock_guard lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   t_owning_pool = this;
   for (;;) {
@@ -77,7 +72,7 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     task();  // run without the lock; exceptions would terminate — tasks are
-             // required to be noexcept in spirit (Monte-Carlo driver wraps).
+             // required to be noexcept in spirit (parallel_for_chunks wraps).
     {
       const std::lock_guard lock(mutex_);
       --in_flight_;

@@ -15,8 +15,10 @@
 /// milliseconds of simulation, so a mutex-guarded deque is entirely
 /// adequate; no lock-free heroics are warranted).
 ///
-/// The pool is the single shared parallel resource in the library; the
-/// Monte-Carlo driver and parallel_for both layer on top of it.
+/// The pool is the single shared parallel resource in the library.
+/// par::parallel_for_chunks (parallel_for.hpp) is its one fork/join
+/// client: the Monte-Carlo driver, the frontier engine and the graph
+/// generators all reach the pool through it.
 
 namespace cobra::par {
 
@@ -48,13 +50,10 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Number of tasks currently queued (not including running ones).
-  [[nodiscard]] std::size_t queued() const;
-
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable task_available_;
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;

@@ -19,10 +19,12 @@ SequentialResult run_until_precise(
   auto extend_to = [&](std::uint32_t target) {
     const auto begin = static_cast<std::uint32_t>(samples.size());
     samples.resize(target, 0.0);
-    par::parallel_for_dynamic(pool, begin, target, [&](std::size_t i) {
+    const auto run_one = [&](std::size_t, std::size_t c) {
+      const std::size_t i = begin + c;
       rng::Xoshiro256 engine(rng::derive_seed(options.base_seed, i));
       samples[i] = trial(engine, static_cast<std::uint32_t>(i));
-    });
+    };
+    par::parallel_for_chunks(pool, target - begin, pool.size(), run_one);
   };
 
   auto precise_enough = [&](const Summary& s) {

@@ -27,17 +27,6 @@ TEST(MonteCarlo, ParallelMatchesSerial) {
   }
 }
 
-TEST(MonteCarlo, StaticScheduleAlsoMatches) {
-  ThreadPool pool(4);
-  MonteCarloOptions opts;
-  opts.base_seed = 777;
-  opts.trials = 333;
-  opts.dynamic_schedule = false;
-  const auto a = run_trials(pool, opts, noisy_trial);
-  const auto b = run_trials_serial(opts, noisy_trial);
-  EXPECT_EQ(a, b);
-}
-
 TEST(MonteCarlo, ThreadCountInvariant) {
   MonteCarloOptions opts;
   opts.base_seed = 42;

@@ -2,115 +2,104 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cobra::par {
 namespace {
 
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+TEST(ParallelForChunks, RunsEveryChunkExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(1000);
-  parallel_for(pool, 0, visits.size(), [&](std::size_t i) {
-    visits[i].fetch_add(1);
-  });
+  std::vector<std::atomic<int>> visits(997);  // prime: no even split
+  parallel_for_chunks(pool, visits.size(), pool.size(),
+                      [&](std::size_t, std::size_t c) { visits[c].fetch_add(1); });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
-TEST(ParallelFor, EmptyRangeIsNoop) {
+TEST(ParallelForChunks, ZeroChunksIsNoop) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  parallel_for(pool, 5, 5, [&](std::size_t) { calls.fetch_add(1); });
-  parallel_for(pool, 7, 3, [&](std::size_t) { calls.fetch_add(1); });
+  parallel_for_chunks(pool, 0, pool.size(),
+                      [&](std::size_t, std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelFor, NonzeroBegin) {
-  ThreadPool pool(2);
-  std::atomic<long> sum{0};
-  parallel_for(pool, 10, 20, [&](std::size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 145);  // 10 + ... + 19
-}
-
-TEST(ParallelFor, MatchesSerialSum) {
-  ThreadPool pool(8);
-  constexpr std::size_t kN = 100000;
-  std::atomic<long long> sum{0};
-  parallel_for(pool, 0, kN, [&](std::size_t i) {
-    sum.fetch_add(static_cast<long long>(i) * 3);
-  });
-  long long expected = 0;
-  for (std::size_t i = 0; i < kN; ++i) expected += static_cast<long long>(i) * 3;
-  EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ParallelFor, PropagatesException) {
+TEST(ParallelForChunks, WorkerIdsStayBelowTheEffectiveWorkerCount) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for(pool, 0, 100,
-                   [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-  // Pool must remain usable after an exception.
+  struct Case {
+    std::size_t n_chunks;
+    std::size_t workers;
+  };
+  for (const Case k : {Case{1000, 3}, Case{1000, 16}, Case{2, 8}, Case{5, 1}}) {
+    const std::size_t bound = std::min({k.workers, pool.size(), k.n_chunks});
+    std::mutex mutex;
+    std::multiset<std::size_t> ids;
+    parallel_for_chunks(pool, k.n_chunks, k.workers,
+                        [&](std::size_t w, std::size_t) {
+                          const std::lock_guard lock(mutex);
+                          ids.insert(w);
+                        });
+    ASSERT_EQ(ids.size(), k.n_chunks);
+    EXPECT_LT(*ids.rbegin(), bound)
+        << k.n_chunks << " chunks, " << k.workers << " workers";
+  }
+}
+
+TEST(ParallelForChunks, RethrowsTheFirstExceptionOnTheCaller) {
+  ThreadPool pool(4);
+  EXPECT_THROW(parallel_for_chunks(pool, 100, pool.size(),
+                                   [](std::size_t, std::size_t c) {
+                                     if (c == 37) throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
+  // The pool stays usable after an exception.
   std::atomic<int> ok{0};
-  parallel_for(pool, 0, 10, [&](std::size_t) { ok.fetch_add(1); });
+  parallel_for_chunks(pool, 10, pool.size(),
+                      [&](std::size_t, std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(ParallelForDynamic, VisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(997);  // prime: uneven chunks
-  parallel_for_dynamic(pool, 0, visits.size(), [&](std::size_t i) {
-    visits[i].fetch_add(1);
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForDynamic, HandlesSkewedWork) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  parallel_for_dynamic(pool, 0, 100, [&](std::size_t i) {
-    // index 0 is 1000x more work than the rest
-    long sink = 0;
-    const long reps = i == 0 ? 100000 : 100;
-    for (long r = 0; r < reps; ++r) sink += r;
-    // Fold the busy-work result into the sum's low bits being unchanged:
-    // (sink is always even * odd pairs...) just prevent optimization by
-    // using it in a branch that never fires.
-    if (sink < 0) sum.fetch_add(1);
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ParallelForDynamic, PropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_for_dynamic(pool, 0, 50,
-                                    [](std::size_t i) {
-                                      if (i == 13) throw std::logic_error("x");
-                                    }),
-               std::logic_error);
-}
-
-TEST(ParallelForDynamic, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  parallel_for_dynamic(pool, 3, 3, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelFor, SingleThreadPoolStillCorrect) {
+TEST(ParallelForChunks, OneThreadPoolRunsInline) {
   ThreadPool pool(1);
-  std::atomic<long> sum{0};
-  parallel_for(pool, 0, 1000, [&](std::size_t i) {
-    sum.fetch_add(static_cast<long>(i));
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for_chunks(pool, 100, 8, [&](std::size_t w, std::size_t c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(w, 0u);
+    order.push_back(c);
   });
-  EXPECT_EQ(sum.load(), 499500);
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t c = 0; c < order.size(); ++c) EXPECT_EQ(order[c], c);
+}
+
+// A fork/join issued from inside one of the pool's own tasks (a generator
+// or frontier round inside a Monte-Carlo trial) must run in-line: waiting
+// for the pool from a worker would wait for the caller's own task and
+// hang. The ctest entry carries a TIMEOUT so a regression fails instead.
+TEST(ParallelForChunks, CallFromPoolTaskCompletesInline) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> calls{0};
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::thread::id task_thread;
+  parallel_for_chunks(pool, 2, 2, [&](std::size_t, std::size_t outer) {
+    if (outer != 0) return;
+    task_thread = std::this_thread::get_id();
+    parallel_for_chunks(pool, 64, pool.size(), [&](std::size_t w, std::size_t) {
+      EXPECT_EQ(w, 0u);
+      const std::lock_guard lock(mutex);
+      threads.insert(std::this_thread::get_id());
+      calls.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(calls.load(), 64u);
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), task_thread);
 }
 
 }  // namespace

@@ -135,23 +135,5 @@ TEST(ThreadPool, SpawnFaultLimitLosesOnlySomeWorkers) {
   EXPECT_EQ(pool.size(), 4u);
 }
 
-TEST(ThreadPool, QueuedCountsOnlyPending) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&release] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  // Give the worker time to dequeue the blocker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pool.submit([] {});
-  pool.submit([] {});
-  EXPECT_EQ(pool.queued(), 2u);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(pool.queued(), 0u);
-}
-
 }  // namespace
 }  // namespace cobra::par
