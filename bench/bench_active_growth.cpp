@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
                    bench::parse_bench_args(argc, argv, {"trials", "horizon"}));
   const std::uint32_t trials = h.trials(50, 10);
   const std::uint64_t horizon =
-      bench::uint_flag(h.args(), "horizon", h.smoke() ? 64 : 256);
+      h.args().get_uint("horizon", h.smoke() ? 64 : 256);
   h.json().context("trials", static_cast<double>(trials));
   h.json().context("horizon", static_cast<double>(horizon));
 

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const io::Args args = bench::parse_bench_args(argc, argv, {"trials"});
   const bool smoke = args.get_bool("smoke", false);
   const auto trials =
-      static_cast<std::uint32_t>(bench::uint_flag(args, "trials", smoke ? 5 : 30));
+      static_cast<std::uint32_t>(args.get_uint("trials", smoke ? 5 : 30));
 
   bench::print_header(
       "E10  (s6 conjecture, s1.2)",

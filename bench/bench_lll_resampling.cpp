@@ -154,8 +154,7 @@ int main(int argc, char** argv) {
                        argc, argv, {"trials", "k"},
                        {.graph = bench::BenchCaps::Graph::NoOp}));
   const std::uint32_t trials = h.trials(12, 3);
-  const auto k = static_cast<std::uint32_t>(
-      bench::uint_flag(h.args(), "k", 3));
+  const auto k = static_cast<std::uint32_t>(h.args().get_uint("k", 3));
   h.json().context("trials", static_cast<double>(trials));
   h.json().context("k", static_cast<double>(k));
 

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   bench::Harness h("metropolis_return",
                    bench::parse_bench_args(argc, argv, {"returns"}));
   const auto returns = static_cast<std::uint32_t>(
-      bench::uint_flag(h.args(), "returns", h.smoke() ? 300 : 3000));
+      h.args().get_uint("returns", h.smoke() ? 300 : 3000));
   h.json().context("returns", static_cast<double>(returns));
 
   bench::print_header("A6  (Lemma 16 / Corollary 17)",

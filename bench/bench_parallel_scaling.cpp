@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const io::Args args = bench::parse_bench_args(argc, argv, {"trials"});
   const bool smoke = args.get_bool("smoke", false);
   const std::string out_path = args.get("out", "BENCH_parallel_scaling.json");
-  const auto trials_arg = bench::uint_flag(args, "trials", smoke ? 48 : 384);
+  const auto trials_arg = args.get_uint("trials", smoke ? 48 : 384);
   if (trials_arg < 1 || trials_arg > 1000000) {
     std::cerr << "bench_parallel_scaling: --trials must be in [1, 1000000]\n";
     return 1;

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   const io::Args args = bench::parse_bench_args(argc, argv, {"trials"});
   const bool smoke = args.get_bool("smoke", false);
   const auto trials =
-      static_cast<std::uint32_t>(bench::uint_flag(args, "trials", smoke ? 5 : 0));
+      static_cast<std::uint32_t>(args.get_uint("trials", smoke ? 5 : 0));
 
   bench::print_header("E4  (Theorem 15)",
                       "2-cobra hitting time on delta-regular graphs is "

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   }
   const std::string out_path =
       args.get("out", "BENCH_step_throughput.json");
-  const auto n_exp = bench::uint_flag(args, "nexp", smoke ? 14 : 20);
+  const auto n_exp = args.get_uint("nexp", smoke ? 14 : 20);
   if (n_exp < 4 || n_exp > 26) {
     std::cerr << "bench_step_throughput: --nexp must be in [4, 26]\n";
     return 1;
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     // the spec and the realized vertex count instead).
     const std::string spec = io::graph_spec_from_args(args, "");
     suite.push_back({spec, spec, bench::bench_graph(args, spec),
-                     static_cast<int>(bench::uint_flag(args, "warm", 40))});
+                     static_cast<int>(args.get_uint("warm", 40))});
     json.context("graph", spec);
     json.context("n", static_cast<double>(suite.front().g.num_vertices()));
   } else {

@@ -124,6 +124,7 @@ io::Args parse_bench_args(int argc, const char* const* argv,
   }
   try {
     io::Args args = parse_bench_args_checked(argc, argv, extra);
+    args.exit_on_bad_value();  // e.g. `--trials abc`: usage and exit 1
     if (args.has("threads")) {
       const auto n = static_cast<std::size_t>(args.get_uint("threads", 0));
       if (!par::request_global_pool_threads(n)) {
@@ -158,16 +159,6 @@ graph::Graph bench_graph(const io::Args& args,
                          const std::string& fallback_spec) {
   try {
     return io::graph_from_args(args, fallback_spec);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n";
-    std::exit(1);
-  }
-}
-
-std::uint64_t uint_flag(const io::Args& args, const std::string& name,
-                        std::uint64_t fallback) {
-  try {
-    return args.get_uint(name, fallback);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     std::exit(1);
@@ -325,7 +316,7 @@ Harness::Harness(std::string json_name, io::Args args)
 std::uint32_t Harness::trials(std::uint32_t full_default,
                               std::uint32_t smoke_default) const {
   return static_cast<std::uint32_t>(
-      uint_flag(args_, "trials", smoke_ ? smoke_default : full_default));
+      args_.get_uint("trials", smoke_ ? smoke_default : full_default));
 }
 
 std::vector<BuiltCase> Harness::suite(std::vector<SuiteCase> cases) const {

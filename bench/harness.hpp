@@ -101,13 +101,6 @@ io::Args parse_bench_args(int argc, const char* const* argv,
 /// the grammar table on a bad spec (same contract as parse_bench_args).
 graph::Graph bench_graph(const io::Args& args, const std::string& fallback_spec);
 
-/// Post-parse numeric flag read with the CLI exit contract: a malformed
-/// value (e.g. `--trials abc`) prints the parse error and exits 1 instead
-/// of escaping main as an exception. Benches read their numeric extras
-/// (--trials/--horizon/--returns/...) through this.
-std::uint64_t uint_flag(const io::Args& args, const std::string& name,
-                        std::uint64_t fallback);
-
 /// Machine-readable twin of the console tables: collects flat records and
 /// writes one BENCH_<name>.json file. This is how the perf trajectory is
 /// recorded across PRs — each bench that matters appends its numbers here

@@ -309,7 +309,10 @@ void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
   out.clear();
   dedupe(in, out.list_);
   // Canonical ascending order — the invariant every expand input relies on.
-  std::sort(out.list_.begin(), out.list_.end());
+  // Reset paths mostly pass ascending input already; skip the sort then.
+  if (!std::is_sorted(out.list_.begin(), out.list_.end())) {
+    std::sort(out.list_.begin(), out.list_.end());
+  }
   out.count_ = out.list_.size();
 }
 

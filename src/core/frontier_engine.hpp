@@ -352,7 +352,9 @@ class FrontierEngine {
   void dedupe(std::span<const Vertex> in, std::vector<Vertex>& out);
 
   /// Dedup `in` into a canonical (sorted ascending) sparse frontier — the
-  /// reset path of every engine client.
+  /// reset path of every engine client. Sorts only when the deduped list
+  /// is not already ascending, so a canonical `in` (an iota, a checked
+  /// checkpoint) costs one linear pass beyond the dedup.
   void dedupe(std::span<const Vertex> in, Frontier& out);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }

@@ -7,14 +7,6 @@
 
 namespace cobra::core {
 
-namespace {
-
-/// The removal-closure expand draws no randomness; this constant only keys
-/// its (unused) chunk streams apart from the winner round's.
-constexpr std::uint64_t kRemovalStream = 0x9e3779b97f4a7c15ULL;
-
-}  // namespace
-
 GreedyMIS::GreedyMIS(const Graph& g, FrontierOptions opts)
     : g_(&g), engine_(g, opts) {
   active_flag_.resize(g.num_vertices());
@@ -63,18 +55,14 @@ void GreedyMIS::step(Engine& gen) {
   mis_.insert(mis_.end(), winner_list.begin(), winner_list.end());
   std::inplace_merge(mis_.begin(), mis_.begin() + old_size, mis_.end());
 
-  // Removal closure: each winner takes itself and its still-active
-  // neighbors out; the engine dedups overlapping neighborhoods.
-  const auto removal_sampler = [&](Vertex v, auto& /*rng*/, const auto& sink) {
-    sink(v);
-    for (const Vertex u : g_->neighbors(v)) {
-      if (u != v && active[u] != 0) sink(u);
-    }
-  };
-  engine_.expand(winners_, removed_,
-                 rng::derive_seed(round_seed, kRemovalStream),
-                 removal_sampler);
-  for (const Vertex v : removed_.vertices()) active_flag_[v] = 0;
+  // Removal closure: each winner takes itself and its neighbors out. Only
+  // active_flag_ records it, and zeroing a flag is idempotent and
+  // order-free, so a serial sweep over the winners is enough: overlapping
+  // neighborhoods need no dedup, the result no sort and the sweep no RNG.
+  for (const Vertex v : winner_list) {
+    active_flag_[v] = 0;
+    for (const Vertex u : g_->neighbors(v)) active_flag_[u] = 0;
+  }
 
   // Shrink the frontier to the survivors — the engine's retain path keeps
   // the active set canonical in whichever representation the round picked.

@@ -19,25 +19,30 @@
 ///
 /// This is the library's first genuinely SHRINKING frontier process — the
 /// consumer the engine's remove-from-frontier path (`retain`) was built
-/// for. One step is three engine rounds over the same chunked vertex-id
-/// space:
+/// for. One step is two engine rounds over the same chunked vertex-id
+/// space with a serial sweep between them:
 ///
 ///   1. winner selection  — expand over the active frontier with a sampler
 ///      that sinks v iff v's priority beats every active neighbor's
 ///      (priorities are the pure hash derive_seed(round_seed, v), so no
 ///      generator state is consumed per vertex and the comparison is
 ///      identical no matter which worker evaluates it);
-///   2. removal closure   — expand over the winners, sinking each winner
-///      and its still-active neighbors (the engine dedups the overlap);
+///   2. removal closure   — a sweep over the winner list zeroing the
+///      active flag of each winner and of its neighbors. It needs no
+///      engine round: its only output is those flags, and zeroing a flag
+///      is idempotent and order-free, so overlapping neighborhoods need no
+///      dedup, the result no sort and the sweep no randomness;
 ///   3. frontier shrink   — retain over the active frontier keeping the
-///      survivors, producing the next round's canonical active set.
+///      vertices whose flag survived, producing the next round's canonical
+///      active set.
 ///
-/// One draw of the caller's engine per round seeds all three, so a run is
-/// a pure function of (graph, engine seed) — bit-identical across 1/2/8
-/// threads and sparse/dense representations, which the property suite
-/// pins. Ties between equal priorities break toward the smaller vertex id,
-/// keeping the winner predicate a strict total order (with a 64-bit hash
-/// per vertex, ties are astronomically rare anyway).
+/// One draw of the caller's engine per round seeds the winner round, so a
+/// run is a pure function of (graph, engine seed) — bit-identical across
+/// 1/2/8 threads and sparse/dense representations, which the property
+/// suite pins. Ties between equal priorities break toward the smaller
+/// vertex id, keeping the winner predicate a strict total order (with a
+/// 64-bit hash per vertex, ties are astronomically rare anyway). After a
+/// step the engine's last-round counters describe the retain.
 ///
 /// Models sim::Process: active() is the current active set, extinction ==
 /// completion (sim::Extinction stops a Runner at exactly done()).
@@ -99,7 +104,6 @@ class GreedyMIS {
   FrontierEngine engine_;
   Frontier frontier_;  ///< active (undecided) vertices
   Frontier winners_;   ///< this round's local minima
-  Frontier removed_;   ///< winners + their active neighbors
   Frontier next_;      ///< retain output, swapped into frontier_
   std::vector<std::uint8_t> active_flag_;  ///< == membership in frontier_
   std::vector<std::uint8_t> in_mis_;

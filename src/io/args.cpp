@@ -7,18 +7,9 @@
 
 namespace cobra::io {
 
-namespace {
-
-bool parse_bool(const std::string& text) {
-  if (text == "1" || text == "true" || text == "yes" || text == "on") return true;
-  if (text == "0" || text == "false" || text == "no" || text == "off") return false;
-  throw std::invalid_argument("Args: not a boolean: " + text);
-}
-
-}  // namespace
-
 Args::Args(int argc, const char* const* argv,
-           const std::vector<std::string>& allowed) {
+           const std::vector<std::string>& allowed)
+    : allowed_(allowed) {
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) != 0) {
@@ -61,15 +52,14 @@ std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const
     if (used != it->second.size()) throw std::invalid_argument("trailing junk");
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + name + " is not an integer: " +
-                                it->second);
+    bad_value("Args: --" + name + " is not an integer: " + it->second);
   }
 }
 
 std::uint64_t Args::get_uint(const std::string& name, std::uint64_t fallback) const {
   const std::int64_t value = get_int(name, static_cast<std::int64_t>(fallback));
   if (value < 0) {
-    throw std::invalid_argument("Args: --" + name + " must be non-negative");
+    bad_value("Args: --" + name + " must be non-negative");
   }
   return static_cast<std::uint64_t>(value);
 }
@@ -83,14 +73,22 @@ double Args::get_double(const std::string& name, double fallback) const {
     if (used != it->second.size()) throw std::invalid_argument("trailing junk");
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + name + " is not a number: " +
-                                it->second);
+    bad_value("Args: --" + name + " is not a number: " + it->second);
   }
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : parse_bool(it->second);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  if (text == "1" || text == "true" || text == "yes" || text == "on") return true;
+  if (text == "0" || text == "false" || text == "no" || text == "off") return false;
+  bad_value("Args: --" + name + " is not a boolean: " + text);
+}
+
+void Args::bad_value(const std::string& error) const {
+  if (exit_on_bad_value_) exit_with_usage(error, allowed_);
+  throw std::invalid_argument(error);
 }
 
 void exit_with_usage(const std::string& error,
@@ -105,7 +103,9 @@ void exit_with_usage(const std::string& error,
 Args parse_args_or_exit(int argc, const char* const* argv,
                         const std::vector<std::string>& allowed) {
   try {
-    return Args(argc, argv, allowed);
+    Args args(argc, argv, allowed);
+    args.exit_on_bad_value();
+    return args;
   } catch (const std::invalid_argument& e) {
     exit_with_usage(e.what(), allowed);
   }

@@ -24,7 +24,7 @@ class Args {
   [[nodiscard]] bool has(const std::string& name) const;
 
   /// Typed getters with defaults. Throw std::invalid_argument when the
-  /// value cannot be parsed as the requested type.
+  /// value cannot be parsed as the requested type (or exit, see below).
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
@@ -39,9 +39,21 @@ class Args {
     return positional_;
   }
 
+  /// From now on a malformed value read by a typed getter (e.g. `--seed
+  /// abc`) ends the process through exit_with_usage, with the allowed
+  /// flags, instead of throwing — the CLI contract of the examples and
+  /// benches.
+  void exit_on_bad_value() noexcept { exit_on_bad_value_ = true; }
+
  private:
+  /// Throw std::invalid_argument(error), or exit with it once
+  /// exit_on_bad_value() was called.
+  [[noreturn]] void bad_value(const std::string& error) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  std::vector<std::string> allowed_;
+  bool exit_on_bad_value_ = false;
 };
 
 /// The one usage-error exit of the examples and benches: print `error`,
@@ -50,8 +62,9 @@ class Args {
                                   const std::vector<std::string>& allowed,
                                   const std::string& help = {});
 
-/// Args(argc, argv, allowed), except that a malformed or unknown flag ends
-/// the process through exit_with_usage instead of throwing.
+/// Args(argc, argv, allowed), except that a malformed or unknown flag, or
+/// a malformed value read later, ends the process through exit_with_usage
+/// instead of throwing.
 [[nodiscard]] Args parse_args_or_exit(int argc, const char* const* argv,
                                       const std::vector<std::string>& allowed);
 

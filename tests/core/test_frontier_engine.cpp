@@ -615,6 +615,23 @@ TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
   // Epochs separate calls: a second dedupe starts fresh.
   engine.dedupe(in, out);
   EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
+
+  // The Frontier overload: canonical output whether or not it had to sort.
+  const auto listed = [](const Frontier& f) {
+    return std::vector<Vertex>(f.vertices().begin(), f.vertices().end());
+  };
+  Frontier frontier;
+  const std::vector<Vertex> ascending{0, 2, 5, 6};
+  engine.dedupe(ascending, frontier);
+  EXPECT_FALSE(frontier.dense());
+  EXPECT_EQ(frontier.size(), 4u);
+  EXPECT_EQ(listed(frontier), ascending);
+  engine.dedupe(in, frontier);
+  EXPECT_EQ(frontier.size(), 4u);
+  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{1, 2, 3, 7}));
+  // ...and it too starts a fresh epoch on every call.
+  engine.dedupe(in, frontier);
+  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{1, 2, 3, 7}));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/lll_resampler.hpp"
 #include "gen/constraints.hpp"
 #include "gen/families.hpp"
+#include "gen/registry.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -53,6 +54,9 @@ std::vector<SweepCase> families() {
          Engine eng(43);
          return gen::gnp(400, 0.02, eng());
        }},
+      // The benchmark's shape at 2^12: hubs, isolated vertices, and
+      // frontiers large enough for dense rounds.
+      {"rmat", [] { return gen::build_graph("rmat:n=2^12,deg=16,seed=7"); }},
   };
 }
 

@@ -69,6 +69,17 @@ TEST(Args, NegativeUintThrows) {
   EXPECT_EQ(args.get_int("n", 0), -3);
 }
 
+TEST(Args, ExitOnBadValueExitsWithUsageInsteadOfThrowing) {
+  Args args = parse({"--seed=abc", "--on=maybe"}, {"seed", "on"});
+  EXPECT_THROW((void)args.get_uint("seed", 1), std::invalid_argument);
+  args.exit_on_bad_value();
+  EXPECT_EXIT((void)args.get_uint("seed", 1), ::testing::ExitedWithCode(1),
+              "--seed is not an integer: abc\nflags: --seed --on");
+  EXPECT_EXIT((void)args.get_bool("on", false), ::testing::ExitedWithCode(1),
+              "--on is not a boolean: maybe");
+  EXPECT_EQ(args.get_uint("missing", 5), 5u);
+}
+
 TEST(Args, BoolVariants) {
   EXPECT_TRUE(parse({"--f=yes"}).get_bool("f", false));
   EXPECT_TRUE(parse({"--f=1"}).get_bool("f", false));
