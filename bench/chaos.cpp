@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/cobra_walk.hpp"
+#include "core/generalized_cobra.hpp"
 #include "core/greedy_mis.hpp"
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
@@ -66,7 +67,7 @@ struct DisarmGuard {
 };
 
 /// The trajectory function a chaos run fuzzes — selected by
-/// ChaosConfig::process. Both share one signature so run_chaos stays
+/// ChaosConfig::process. All share one signature so run_chaos stays
 /// process-agnostic.
 using TrajectoryFn = std::uint64_t (*)(const graph::Graph&, std::size_t,
                                        std::uint64_t, std::uint64_t,
@@ -75,8 +76,9 @@ using TrajectoryFn = std::uint64_t (*)(const graph::Graph&, std::size_t,
 TrajectoryFn select_trajectory(const std::string& process) {
   if (process == "cobra") return &chaos_trajectory;
   if (process == "mis") return &chaos_mis_trajectory;
+  if (process == "gcobra") return &chaos_gcobra_trajectory;
   throw std::invalid_argument("unknown chaos process '" + process +
-                              "' (want cobra or mis)");
+                              "' (want cobra, mis or gcobra)");
 }
 
 /// Outcome of one faulted trajectory: fingerprint, or the exception text
@@ -127,13 +129,43 @@ std::string expect_loud_failure(const std::string& site, const Op& op) {
   return "hard site " + site + " fired but the operation completed silently";
 }
 
+/// Fingerprint `rounds` steps of a cobra-family walk (CobraWalk or
+/// GeneralizedCobraWalk) whose engine runs on `pool`.
+template <typename Walk>
+std::uint64_t walk_trajectory(Walk& walk, par::ThreadPool& pool,
+                              std::uint64_t walk_seed, std::uint64_t rounds,
+                              bool inject_bug) {
+  auto& opts = walk.engine().options();
+  opts.pool = &pool;
+  opts.chunk_size = 64;        // several chunks even on tiny fuzz graphs
+  opts.parallel_threshold = 1;  // pool path whenever the pool can help
+
+  core::Engine gen(walk_seed);
+  std::uint64_t fp = hash_round(0xcbf29ce484222325ULL, walk.active());
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    walk.step(gen);
+    if (inject_bug && fault::should_fail("chaos.degrade_bug")) {
+      // The deliberately BROKEN degradation: silently drops the highest-id
+      // active vertex, exactly the kind of "mostly works" corruption a
+      // graceful site must never introduce. Kept behind inject_bug so no
+      // production path can reach it.
+      const auto active = walk.active();
+      if (active.size() > 1) {
+        const std::vector<core::Vertex> kept(active.begin(), active.end() - 1);
+        walk.reset(kept);
+      }
+    }
+    fp = hash_round(fp, walk.active());
+  }
+  return fp;
+}
+
 }  // namespace
 
 std::vector<std::string> chaos_graceful_sites(bool inject_bug) {
   std::vector<std::string> sites = {
       "frontier.dense_alloc", "frontier.materialize_alloc",
-      "rng.block_refill",     "pool.thread_spawn",
-      "trace.write",
+      "pool.thread_spawn",    "trace.write",
   };
   if (inject_bug) sites.push_back("chaos.degrade_bug");
   return sites;
@@ -153,28 +185,20 @@ std::uint64_t chaos_trajectory(const graph::Graph& g, std::size_t threads,
   // the thread-invariance contract).
   par::ThreadPool pool(threads == 0 ? 1 : threads);
   core::CobraWalk walk(g, 0, branching);
-  auto& opts = walk.engine().options();
-  opts.pool = &pool;
-  opts.chunk_size = 64;        // several chunks even on tiny fuzz graphs
-  opts.parallel_threshold = 1;  // pool path whenever the pool can help
+  return walk_trajectory(walk, pool, walk_seed, rounds, inject_bug);
+}
 
-  core::Engine gen(walk_seed);
-  std::uint64_t fp = hash_round(0xcbf29ce484222325ULL, walk.active());
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    walk.step(gen);
-    if (inject_bug && fault::should_fail("chaos.degrade_bug")) {
-      // The deliberately BROKEN degradation: silently drops the highest-id
-      // active vertex, exactly the kind of "mostly works" corruption a
-      // graceful site must never introduce. Kept behind inject_bug so no
-      // production path can reach it.
-      const auto active = walk.active();
-      if (active.size() > 1) {
-        walk.reset(active.subspan(0, active.size() - 1));
-      }
-    }
-    fp = hash_round(fp, walk.active());
-  }
-  return fp;
+std::uint64_t chaos_gcobra_trajectory(const graph::Graph& g,
+                                      std::size_t threads,
+                                      std::uint64_t walk_seed,
+                                      std::uint64_t rounds,
+                                      std::uint32_t /*branching*/,
+                                      bool inject_bug) {
+  // Per-call pool, same rationale as chaos_trajectory.
+  par::ThreadPool pool(threads == 0 ? 1 : threads);
+  core::GeneralizedCobraWalk walk(g, 0,
+                                  core::schedules::shifted_geometric(0.5));
+  return walk_trajectory(walk, pool, walk_seed, rounds, inject_bug);
 }
 
 std::uint64_t chaos_mis_trajectory(const graph::Graph& g, std::size_t threads,

@@ -39,12 +39,14 @@
 /// proven against a known-bad path (--inject-bug / the chaos tests): a
 /// violating schedule containing it must shrink to <= 2 entries.
 ///
-/// Two processes can sit under the fuzz: the growing-frontier cobra walk
-/// (`process = "cobra"`) and the shrinking-frontier greedy MIS
+/// Three processes can sit under the fuzz: the growing-frontier cobra walk
+/// (`process = "cobra"`), the shrinking-frontier greedy MIS
 /// (`process = "mis"`), which routes every schedule through the engine's
-/// retain path as well as expand. The MIS fingerprint additionally chains
-/// the final collected set, so a run that walks the right trajectory but
-/// ends with the wrong MIS still diverges.
+/// retain path as well as expand, and the generalized cobra walk with a
+/// random branching schedule (`process = "gcobra"`), whose schedule draws
+/// from the chunk streams next to the neighbour samples. The MIS
+/// fingerprint additionally chains the final collected set, so a run that
+/// walks the right trajectory but ends with the wrong MIS still diverges.
 
 namespace cobra::bench {
 
@@ -58,7 +60,8 @@ struct ChaosConfig {
   std::uint32_t branching = 2;       ///< cobra-walk k
   bool inject_bug = false;  ///< add chaos.degrade_bug to the fuzz catalog
   /// Which process runs under the fuzz: "cobra" (growing frontier, expand
-  /// rounds) or "mis" (shrinking frontier, expand + retain rounds).
+  /// rounds), "mis" (shrinking frontier, expand + retain rounds) or
+  /// "gcobra" (generalized cobra walk, shifted_geometric(0.5) branching).
   std::string process = "cobra";
   /// Scratch file for the checkpoint hard-site checks (created/overwritten).
   std::string scratch_path = "chaos_scratch.snap";
@@ -103,6 +106,19 @@ struct ChaosReport {
                                              std::uint64_t rounds,
                                              std::uint32_t branching,
                                              bool inject_bug);
+
+/// The GeneralizedCobraWalk twin of chaos_trajectory, branching by
+/// shifted_geometric(0.5): each active vertex draws its branching count
+/// from the same chunk stream as its neighbour samples, so the fingerprint
+/// pins which stream values the schedule consumes. `branching` is unused;
+/// the planted chaos.degrade_bug drops the highest-id active vertex, as in
+/// chaos_trajectory.
+[[nodiscard]] std::uint64_t chaos_gcobra_trajectory(const graph::Graph& g,
+                                                    std::size_t threads,
+                                                    std::uint64_t walk_seed,
+                                                    std::uint64_t rounds,
+                                                    std::uint32_t branching,
+                                                    bool inject_bug);
 
 /// The greedy-MIS twin of chaos_trajectory: one MIS run on `g` (capped at
 /// `rounds` rounds — extinction usually comes first), fingerprint chained

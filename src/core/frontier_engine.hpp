@@ -16,7 +16,6 @@
 #include "parallel/monte_carlo.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "rng/batch.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/fault.hpp"
 
@@ -299,8 +298,10 @@ class NeighborSampler {
 
 class FrontierEngine {
  public:
-  /// The RNG handed to samplers: a block-buffered xoshiro (rng/batch.hpp).
-  using ChunkRng = rng::Batched<Engine, 256>;
+  /// The RNG handed to samplers: the chunk's own xoshiro stream, seeded
+  /// derive_seed(round_seed, chunk index) — one chunk stream per visited
+  /// chunk of an expand round.
+  using ChunkRng = Engine;
 
   explicit FrontierEngine(const Graph& g, FrontierOptions opts = {});
 
@@ -416,8 +417,9 @@ class FrontierEngine {
     return last_switch_reason_;
   }
 
-  /// Batched-RNG blocks drawn during the most recent round (summed over
-  /// chunks; 0 after a retain round) — the trace sink's "rng_blocks" field.
+  /// Chunk streams seeded during the most recent round: one per visited
+  /// (occupied) chunk of an expand round, 0 after a retain round — the
+  /// trace sink's "rng_blocks" field.
   [[nodiscard]] std::uint64_t last_rng_blocks() const noexcept {
     return last_rng_blocks_;
   }
@@ -427,7 +429,7 @@ class FrontierEngine {
   struct Tally {
     std::uint64_t emitted = 0;     ///< sink() calls
     std::uint64_t claimed = 0;     ///< bits newly set (dense output)
-    std::uint64_t rng_blocks = 0;  ///< ChunkRng refills
+    std::uint64_t rng_blocks = 0;  ///< chunk streams seeded
 
     Tally& operator+=(const Tally& o) noexcept {
       emitted += o.emitted;
@@ -657,7 +659,7 @@ std::size_t FrontierEngine::run_round(const FrontierView& in,
   // own chunk's bits, and chunks are word-aligned), keep plain stores.
   const auto visit = [&](auto shared, std::size_t c, const Chunk& chunk,
                          std::vector<Vertex>& claims, Tally& tally) {
-    ChunkRng rng(Engine(rng::derive_seed(round_seed, c)));
+    ChunkRng rng(rng::derive_seed(round_seed, c));
     std::uint64_t emitted = 0;
     std::uint64_t claimed = 0;
     const auto sink = [&](Vertex u) {
@@ -691,7 +693,7 @@ std::size_t FrontierEngine::run_round(const FrontierView& in,
       }
     };
     chunk.for_each<Dedup>(*g_, [&](Vertex v) { emit(v, rng, sink); });
-    tally += Tally{emitted, claimed, rng.refills()};
+    tally += Tally{emitted, claimed, Dedup ? 1u : 0u};
   };
 
   Tally total;

@@ -15,7 +15,7 @@
 ///   {"trace": 1, "round": 12, "frontier": 4096, "produced": 11890,
 ///    "mode": "dense", "path": "parallel", "switch": "auto-grow",
 ///    "chunks": 32, "max_chunk": 201, "mean_chunk": 128.0,
-///    "rng_blocks": 96, "seconds": 0.0013}
+///    "rng_blocks": 32, "seconds": 0.0013}
 ///
 ///   trace      engine instance id (several engines can share one file —
 ///              replicate() trials, multi-process sweeps via O_APPEND)
@@ -33,7 +33,8 @@
 ///   max_chunk / mean_chunk
 ///              input-frontier occupancy of the fullest occupied chunk
 ///              and the mean — the load-imbalance proxy
-///   rng_blocks batched-RNG refills drawn during the step
+///   rng_blocks chunk streams seeded during the step: one per occupied
+///              chunk, so equal to `chunks` on expand rounds
 ///   seconds    expand() wall time
 ///
 /// The disarmed cost is a single relaxed atomic load per expand() (the

@@ -44,8 +44,8 @@
 ///   #limit   maximum number of firings, after which the site goes
 ///            dormant (default 0 = unlimited)
 ///
-/// e.g. "checkpoint.write@3,rng.block_refill%0.25#2" — the 4th and later
-/// snapshot writes fail; each RNG block refill degrades with probability
+/// e.g. "checkpoint.write@3,trace.write%0.25#2" — the 4th and later
+/// snapshot writes fail; each trace line write is dropped with probability
 /// 1/4, at most twice.
 ///
 /// Arming paths:
@@ -73,9 +73,6 @@
 ///                              frontier engine (degrades to sparse path)
 ///   frontier.materialize_alloc GRACEFUL  span-overload dense materialize
 ///                              scratch (degrades to the serial decode)
-///   rng.block_refill           GRACEFUL  batched-RNG block refill
-///                              (degrades to single-draw refills; the
-///                              value stream is unchanged by contract)
 ///   pool.thread_spawn          GRACEFUL  worker spawn in ThreadPool
 ///                              (pool comes up smaller, >= 1 worker;
 ///                              results are thread-count-invariant)

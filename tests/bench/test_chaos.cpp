@@ -1,9 +1,10 @@
 // Tests for the cobra_chaos fuzz engine (bench/chaos.{hpp,cpp}):
 // trajectory fingerprints are deterministic and thread-count-invariant,
-// graceful plans leave them unchanged, the planted chaos.degrade_bug is
-// caught AND shrunk to a minimal reproducer, shrink_plan's greedy
-// delta-debug keeps exactly the necessary entries, and a clean run's
-// report carries the expected accounting.
+// graceful plans leave them unchanged (for the cobra, generalized-cobra
+// and MIS processes), the planted chaos.degrade_bug is caught AND shrunk
+// to a minimal reproducer, shrink_plan's greedy delta-debug keeps exactly
+// the necessary entries, and a clean run's report carries the expected
+// accounting.
 
 #include "chaos.hpp"
 
@@ -105,6 +106,30 @@ TEST_F(ChaosTest, CleanFuzzReportsNoViolationsWithFullAccounting) {
   EXPECT_TRUE(util::fault::armed_sites().empty());  // registry left clean
   const std::string text = bench::render_chaos_report(report, config);
   EXPECT_NE(text.find("0 violations"), std::string::npos);
+}
+
+TEST_F(ChaosTest, GcobraGracefulStormMatchesTheUnarmedSerialRun) {
+  // The random branching schedule draws from the chunk stream next to the
+  // neighbour samples, so a graceful site that changed which stream values
+  // the schedule reads would change the walk.
+  const graph::Graph g = gen::build_graph("rreg:n=512,d=4,seed=7");
+  const std::uint64_t baseline =
+      bench::chaos_gcobra_trajectory(g, 1, 5, 24, 2, false);
+  EXPECT_NE(baseline, bench::chaos_gcobra_trajectory(g, 1, 6, 24, 2, false));
+  FaultPlan plan;
+  for (const std::string& site : bench::chaos_graceful_sites(false)) {
+    plan.specs.push_back(FaultPlan::parse(site + "%0.5").specs[0]);
+  }
+  plan.seed = 13;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    util::fault::arm_plan(plan);
+    const std::uint64_t stormy =
+        bench::chaos_gcobra_trajectory(g, threads, 5, 24, 2, false);
+    util::fault::disarm_all();
+    EXPECT_EQ(stormy, baseline)
+        << "a graceful degradation changed a generalized-cobra trajectory";
+  }
 }
 
 TEST_F(ChaosTest, MisFingerprintIsDeterministicAndThreadInvariant) {

@@ -491,6 +491,7 @@ struct CountedRun {
   std::vector<std::uint64_t> emitted;   ///< last_emitted()
   std::vector<std::uint64_t> expected;  ///< sink calls, or |frontier|
   std::vector<std::uint64_t> rng_blocks;
+  std::vector<std::uint64_t> occupied;  ///< input chunks holding a vertex
   std::uint64_t serial_rounds = 0;
   std::uint64_t parallel_rounds = 0;
 };
@@ -515,6 +516,13 @@ CountedRun run_counted(const Graph& g, RoundKind kind, FrontierMode mode,
     calls = 0;
     const std::uint64_t seed = 0xC0DE0000ULL + r;
     const std::size_t in_size = frontier.size();
+    // `list` holds this round's input; kChunk is word-aligned, so it is the
+    // engine's chunk span.
+    std::uint64_t occupied = 0;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      occupied += i == 0 || list[i] / kChunk != list[i - 1] / kChunk;
+    }
+    run.occupied.push_back(occupied);
     switch (kind) {
       case RoundKind::ExpandFrontier:
         engine.expand(frontier, next, seed, sampler);
@@ -575,11 +583,9 @@ TEST_P(FrontierCounters, EmittedRngBlocksAndPathCountsArePinned) {
   for (std::uint64_t r = 0; r < kRounds; ++r) {
     SCOPED_TRACE(r);
     EXPECT_GT(run.emitted[r], 0u);
-    if (kind == RoundKind::Retain) {
-      EXPECT_EQ(run.rng_blocks[r], 0u);
-    } else {
-      EXPECT_GT(run.rng_blocks[r], 0u);
-    }
+    // One chunk stream seeded per occupied input chunk; none on retain.
+    EXPECT_EQ(run.rng_blocks[r],
+              kind == RoundKind::Retain ? 0u : run.occupied[r]);
   }
   EXPECT_EQ(run.parallel_rounds, pooled ? kRounds : 0u);
   EXPECT_EQ(run.serial_rounds, pooled ? 0u : kRounds);

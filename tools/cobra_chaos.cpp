@@ -12,8 +12,10 @@
 ///               [--inject-bug] [--expect-violation]
 ///
 ///   --process    which process runs under the fuzz: "cobra" (growing
-///                frontier, expand rounds; default) or "mis" (greedy MIS —
-///                shrinking frontier, expand + retain rounds)
+///                frontier, expand rounds; default), "mis" (greedy MIS —
+///                shrinking frontier, expand + retain rounds) or "gcobra"
+///                (generalized cobra walk, shifted_geometric(0.5)
+///                branching drawn from the chunk streams)
 ///   --graph      spec list (cobra_sweep split rules); default two small
 ///                expanders
 ///   --threads    thread-count list, default "1,2"
@@ -22,7 +24,8 @@
 ///   --seed       master seed — every schedule and walk seed derives from
 ///                it, so a run is reproducible bit-for-bit (default 1)
 ///   --rounds     rounds per trajectory (default 24)
-///   --branching  cobra-walk k (default 2; unused by --process mis)
+///   --branching  cobra-walk k (default 2; unused by --process mis and
+///                gcobra)
 ///   --trace      arm the obs trace sink: fault firings land as
 ///                {"fault": ...} JSONL lines — the chaos run's event-log
 ///                artifact
@@ -62,8 +65,8 @@ int main(int argc, char** argv) {
                      "inject-bug", "expect-violation"});
   } catch (const std::invalid_argument& e) {
     std::cerr << "cobra_chaos: " << e.what()
-              << "\nusage: cobra_chaos [--process cobra|mis] [--graph SPECS]"
-                 " [--threads LIST] [--schedules N] [--seed S] [--rounds R]"
+              << "\nusage: cobra_chaos [--process cobra|mis|gcobra]"
+                 " [--graph SPECS] [--threads LIST] [--schedules N] [--seed S] [--rounds R]"
                  " [--branching K] [--trace FILE] [--out FILE] [--inject-bug]"
                  " [--expect-violation]\n";
     return 2;
