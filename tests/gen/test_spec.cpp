@@ -6,8 +6,10 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "gen/registry.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "util/fault.hpp"
 
@@ -138,6 +140,47 @@ TEST(Registry, ChungLuOutputIsPinned) {
   EXPECT_EQ(g.num_edges(), 7956u);
   EXPECT_EQ(csr_hash(g), 0x015bcd689f20b6e8ULL);
   EXPECT_EQ(csr_hash(chung_lu(2000, 2.5, 3.0, 5)), csr_hash(g));
+}
+
+TEST(Registry, RandomFamilyCsrIsPinned) {
+  // Recorded before the CSR compile moved from a global edge sort to a
+  // per-row sort + dedup: every randomized family, and the builder's
+  // multigraph path, must keep its exact offsets and targets. The dense
+  // rmat spec draws 16,384 edges of which 10,658 survive simplification.
+  struct Case {
+    const char* spec;
+    std::uint64_t edges;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"rmat:n=2^14,deg=16,seed=7", 114188, 0x9318486a9a741ff0ULL},
+      {"rmat:n=2^10,deg=32,seed=3", 10658, 0x9dac397bdb01a1eeULL},
+      {"gnp:n=3000,avg_deg=6,seed=11", 8745, 0x789eb13688223dbdULL},
+      {"gnm:n=3000,m=2^17,seed=5", 131072, 0x4cd77fde320b4a3eULL},
+      {"ws:n=2^15,k=4,beta=0.2,seed=9", 65535, 0x18723cd29f5bc2cbULL},
+      {"ba:n=2^15,d=3,seed=4", 98221, 0xe8b96ff48b85ee9cULL},
+      {"rreg:n=2000,d=5,seed=8", 5000, 0xfddeae0ab77baa64ULL},
+      {"geo:n=4000,avg_deg=8,seed=6", 15929, 0x3bf6c473f05eef81ULL},
+      {"chunglu:n=2000,gamma=2.5,min_deg=3,seed=5", 7956,
+       0x015bcd689f20b6e8ULL},
+  };
+  for (const Case& c : cases) {
+    const graph::Graph g = build_graph(c.spec);
+    EXPECT_EQ(g.num_edges(), c.edges) << c.spec;
+    EXPECT_EQ(csr_hash(g), c.hash) << c.spec;
+  }
+
+  // Parallel edges in both orientations and self-loops are kept as given
+  // (build() never simplifies); a self-loop is two arcs at its vertex.
+  graph::GraphBuilder b(6);
+  const std::pair<graph::Vertex, graph::Vertex> multi[] = {
+      {0, 1}, {1, 0}, {0, 1}, {2, 2}, {3, 4},
+      {4, 4}, {4, 4}, {5, 0}, {2, 5}, {5, 2}};
+  for (const auto& [u, v] : multi) b.add_edge(u, v);
+  const graph::Graph g = b.build();
+  EXPECT_EQ(g.num_arcs(), 20u);
+  EXPECT_EQ(g.degree(4), 5u);
+  EXPECT_EQ(csr_hash(g), 0x73c8f469b0bb7fc7ULL);
 }
 
 TEST(Registry, ChungLuRejectsDegenerateWeights) {
