@@ -320,6 +320,14 @@ std::uint32_t Harness::trials(std::uint32_t full_default,
 }
 
 std::vector<BuiltCase> Harness::suite(std::vector<SuiteCase> cases) const {
+  const auto timed_build = [this](const std::string& spec) {
+    const auto t0 = std::chrono::steady_clock::now();
+    graph::Graph g = gen::build_graph(spec);
+    graph_build_seconds_ += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+    return g;
+  };
   std::vector<BuiltCase> built;
   for (auto& c : resolve_suite(args_, smoke_, std::move(cases))) {
     try {
@@ -329,11 +337,11 @@ std::vector<BuiltCase> Harness::suite(std::vector<SuiteCase> cases) const {
         // a large spec graph.
         if (!override_graph_) {
           override_graph_ =
-              std::make_shared<const graph::Graph>(gen::build_graph(c.spec));
+              std::make_shared<const graph::Graph>(timed_build(c.spec));
         }
         built.push_back({std::move(c.name), std::move(c.spec), *override_graph_});
       } else {
-        graph::Graph g = gen::build_graph(c.spec);
+        graph::Graph g = timed_build(c.spec);
         built.push_back({std::move(c.name), std::move(c.spec), std::move(g)});
       }
     } catch (const std::invalid_argument& e) {
@@ -352,6 +360,7 @@ int Harness::finish() {
     ok = obs::write_metrics_json(args_.get("metrics", "")) && ok;
   }
   obs::close_global_trace();
+  json_.context("graph_build_seconds", graph_build_seconds_);
   if (args_.has("out")) {
     ok = json_.write(args_.get("out", "")) && ok;
   }

@@ -224,12 +224,15 @@ class Harness {
   /// through the registry. Exits 1 with the registry's message on a bad
   /// --graph spec (CLI contract, like bench_graph). The --graph override
   /// graph is built once and copied into later calls, so multi-table
-  /// benches don't regenerate a large spec graph per table.
+  /// benches don't regenerate a large spec graph per table. Every build
+  /// is timed into the `graph_build_seconds` context entry.
   [[nodiscard]] std::vector<BuiltCase> suite(std::vector<SuiteCase> cases) const;
 
   [[nodiscard]] JsonReporter& json() noexcept { return json_; }
 
-  /// Write --out (when requested) and return the process exit code.
+  /// Record `graph_build_seconds` (the wall time of every suite() build)
+  /// in the JSON context, write --out (when requested) and return the
+  /// process exit code.
   [[nodiscard]] int finish();
 
  private:
@@ -238,6 +241,8 @@ class Harness {
   JsonReporter json_;
   /// Cache for the --graph override build (suite() is called per table).
   mutable std::shared_ptr<const graph::Graph> override_graph_;
+  /// Seconds spent in suite()'s gen::build_graph calls.
+  mutable double graph_build_seconds_ = 0.0;
 };
 
 }  // namespace cobra::bench

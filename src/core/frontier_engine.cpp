@@ -1,5 +1,6 @@
 #include "core/frontier_engine.hpp"
 
+#include <functional>
 #include <new>
 #include <stdexcept>
 
@@ -294,6 +295,15 @@ void FrontierEngine::audit_round(const std::vector<Vertex>* list,
 
 void FrontierEngine::dedupe(std::span<const Vertex> in,
                             std::vector<Vertex>& out) {
+  // `in` may view `out`'s own storage (a walk reset from a subspan of its
+  // active set); clearing `out` would end the lifetime of what `in` reads.
+  const std::less_equal<const Vertex*> at_or_before;
+  if (!in.empty() && at_or_before(out.data(), in.data()) &&
+      !at_or_before(out.data() + out.capacity(), in.data())) {
+    const std::vector<Vertex> copy(in.begin(), in.end());
+    dedupe(copy, out);
+    return;
+  }
   out.clear();
   if (in.empty()) return;
   const std::uint32_t epoch = advance_epoch();
@@ -306,8 +316,9 @@ void FrontierEngine::dedupe(std::span<const Vertex> in,
 }
 
 void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
-  out.clear();
   dedupe(in, out.list_);
+  out.list_valid_ = true;
+  out.dense_ = false;
   // Canonical ascending order — the invariant every expand input relies on.
   // Reset paths mostly pass ascending input already; skip the sort then.
   if (!std::is_sorted(out.list_.begin(), out.list_.end())) {

@@ -24,7 +24,7 @@ namespace {
 using graph::EdgeIndex;
 using graph::Graph;
 using graph::Vertex;
-using Edge = std::pair<Vertex, Vertex>;
+using graph::Edge;
 using ChunkEngine = rng::Xoshiro256;
 
 // Fixed chunk-granularity constants. These are part of the determinism
@@ -39,76 +39,40 @@ constexpr std::uint64_t kBaEdgesPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoPointsPerChunk = 1u << 16;
 constexpr std::uint64_t kGeoScanVerticesPerChunk = 1u << 14;
 
+/// The pool a build split into `n_chunks` chunks spreads over: opts.pool,
+/// else par::global_pool(). A single chunk never resolves, and so never
+/// creates, the global pool; nullptr then means "run in-line".
+par::ThreadPool* resolve_pool(const GenOptions& opts, std::size_t n_chunks) {
+  if (opts.pool != nullptr || n_chunks <= 1) return opts.pool;
+  return &par::global_pool();
+}
+
 /// Run body(c) for every chunk, across the pool (parallel_for_chunks runs
 /// them in-line when the pool cannot help). Every schedule produces the
 /// same side effects because each chunk writes only its own buffer/slice.
-/// A single chunk never resolves, and so never creates, the global pool.
 template <typename Body>
 void run_chunks(const GenOptions& opts, std::size_t n_chunks, Body&& body) {
-  if (n_chunks <= 1) {
-    if (n_chunks == 1) body(std::size_t{0});
+  par::ThreadPool* pool = resolve_pool(opts, n_chunks);
+  if (pool == nullptr) {
+    for (std::size_t c = 0; c < n_chunks; ++c) body(c);
     return;
   }
-  par::ThreadPool& pool = opts.pool != nullptr ? *opts.pool : par::global_pool();
-  par::parallel_for_chunks(pool, n_chunks, pool.size(),
+  par::parallel_for_chunks(*pool, n_chunks, pool->size(),
                            [&](std::size_t, std::size_t c) { body(c); });
 }
 
-/// Concatenate per-chunk edge buffers in chunk order and compile into CSR
-/// (counting sort, then per-vertex adjacency sort — parallelized over
-/// vertex ranges, which is safe because each vertex's sorted list is
-/// independent of who sorts it). With `simplify`, self-loops and duplicate
-/// undirected edges are removed first (canonicalize + sort + unique, a
-/// deterministic function of the edge multiset).
-Graph assemble(std::uint32_t n, std::vector<std::vector<Edge>>& chunks,
+/// Compile the per-chunk edge buffers, in chunk order, into CSR through
+/// graph::compile_csr: degrees are counted and arcs scattered straight
+/// from the buffers, then each row is sorted. With `simplify`, self-loops
+/// are skipped and each sorted row keeps one copy of every neighbour, so
+/// a row is exactly its endpoint's distinct neighbour set — a
+/// deterministic function of the edge multiset, with no global edge sort.
+/// The row sorts use the pool the chunks did; a one-chunk build stays on
+/// the calling thread.
+Graph assemble(std::uint32_t n, const std::vector<std::vector<Edge>>& chunks,
                bool simplify, const GenOptions& opts) {
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  std::vector<Edge> edges;
-  edges.reserve(total);
-  for (auto& chunk : chunks) {
-    edges.insert(edges.end(), chunk.begin(), chunk.end());
-    std::vector<Edge>().swap(chunk);
-  }
-
-  if (simplify) {
-    std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
-    for (auto& [u, v] : edges) {
-      if (u > v) std::swap(u, v);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-
-  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++offsets[static_cast<std::size_t>(u) + 1];
-    ++offsets[static_cast<std::size_t>(v) + 1];
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  std::vector<Vertex> targets(offsets.back());
-  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edges) {
-    targets[cursor[u]++] = v;
-    targets[cursor[v]++] = u;
-  }
-  std::vector<Edge>().swap(edges);
-
-  const std::size_t sort_chunks =
-      (static_cast<std::size_t>(n) + kWsVerticesPerChunk - 1) /
-      kWsVerticesPerChunk;
-  run_chunks(opts, std::max<std::size_t>(sort_chunks, 1), [&](std::size_t c) {
-    const std::size_t lo = c * kWsVerticesPerChunk;
-    const std::size_t hi =
-        std::min<std::size_t>(n, lo + kWsVerticesPerChunk);
-    for (std::size_t v = lo; v < hi; ++v) {
-      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    }
-  });
-
-  return Graph(n, std::move(offsets), std::move(targets));
+  return graph::compile_csr(n, chunks, simplify,
+                            resolve_pool(opts, chunks.size()));
 }
 
 /// Row of linear pair index t: the unique r >= 1 with
@@ -141,8 +105,7 @@ Graph gnp(std::uint32_t n, double p, std::uint64_t seed,
   const std::uint64_t total_pairs =
       static_cast<std::uint64_t>(n) * (n > 0 ? n - 1 : 0) / 2;
   if (p <= 0.0 || total_pairs == 0) {
-    std::vector<std::vector<Edge>> none;
-    return assemble(n, none, false, opts);
+    return assemble(n, {}, false, opts);
   }
 
   const double expected_edges = static_cast<double>(total_pairs) * p;
@@ -190,8 +153,7 @@ Graph gnm(std::uint32_t n, std::uint64_t m, std::uint64_t seed,
     throw std::invalid_argument("gnm: m exceeds n*(n-1)/2");
   }
   if (m == 0) {
-    std::vector<std::vector<Edge>> none;
-    return assemble(n, none, false, opts);
+    return assemble(n, {}, false, opts);
   }
 
   // Keyed 4-round Feistel over 2*half_bits >= ceil(log2(total_pairs))
@@ -270,8 +232,11 @@ Graph rmat(std::uint32_t levels, std::uint64_t num_edges, double a, double b,
       for (std::uint32_t level = 0; level < levels; ++level) {
         const double u = rng::uniform_unit(eng);
         // Quadrant thresholds a | b | c | d; d = 1 - a - b - c.
-        const std::uint32_t down = u >= t_ab ? 1u : 0u;
-        const std::uint32_t right = (u >= a && u < t_ab) || u >= t_abc ? 1u : 0u;
+        // The thresholds nest (a <= t_ab <= t_abc), so the xor of the three
+        // comparisons is 1 exactly in quadrants b and d: no branch.
+        const auto down = static_cast<std::uint32_t>(u >= t_ab);
+        const auto right = static_cast<std::uint32_t>(
+            (u >= a) ^ (u >= t_ab) ^ (u >= t_abc));
         row = (row << 1) | down;
         col = (col << 1) | right;
       }

@@ -10,8 +10,8 @@
 /// is a pure function of (parameters, seed): the work is split into chunks
 /// of FIXED size (a compile-time constant per family, never derived from
 /// the pool), chunk c draws from an engine seeded rng::derive_seed(seed, c)
-/// into its own edge buffer, and buffers are concatenated in chunk order.
-/// Thread count only decides which worker runs which chunk, so the emitted
+/// into its own edge buffer, and graph::compile_csr reads the buffers in
+/// chunk order. Thread count only decides which worker runs which chunk, so the emitted
 /// edge list — and therefore the assembled CSR — is bit-identical across
 /// 1, 2, ... N threads (a 1-thread pool takes the in-line serial path).
 /// This is the same determinism contract as core::FrontierEngine, applied

@@ -1,19 +1,44 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 
+namespace cobra::par {
+class ThreadPool;
+}  // namespace cobra::par
+
 /// \file builder.hpp
-/// Mutable edge-list accumulator that compiles into an immutable CSR Graph.
-/// All generators funnel through this: they add undirected edges (each once)
-/// and the builder materializes the symmetric arc arrays, optionally
-/// deduplicating parallel edges and dropping self-loops (needed by the
-/// configuration model, which produces both).
+/// The one CSR compile, `compile_csr`, and the mutable edge-list
+/// accumulator that feeds it. Every Graph is built here: the deterministic
+/// families through GraphBuilder, the random ones (src/gen) by handing
+/// their per-chunk edge lists to compile_csr directly. Either way the
+/// symmetric arc arrays come out with every adjacency list sorted.
 
 namespace cobra::graph {
+
+using Edge = std::pair<Vertex, Vertex>;
+
+/// Compile undirected edge lists, read in order, into CSR: count degrees,
+/// scatter both arcs of every edge, sort each row. Each edge {u, v} becomes
+/// arcs u->v and v->u; a self-loop {v, v} becomes two arcs v->v (degree
+/// +2), matching the vol(V) = 2|E| convention.
+///
+/// With `simplify`, self-loops are skipped and each sorted row is reduced
+/// to its distinct neighbours, then the rows are compacted in place. The
+/// result is the simple graph on the edge set, independent of the order
+/// and orientation in which edges were listed.
+///
+/// `pool` spreads the row sorts over its workers in fixed vertex ranges;
+/// rows are independent, so the result does not depend on it. nullptr
+/// runs everything on the calling thread.
+[[nodiscard]] Graph compile_csr(std::uint32_t n,
+                                std::span<const std::vector<Edge>> edge_lists,
+                                bool simplify,
+                                par::ThreadPool* pool = nullptr);
 
 class GraphBuilder {
  public:
@@ -33,19 +58,19 @@ class GraphBuilder {
   /// of the configuration model). Returns the number of edges removed.
   std::size_t simplify();
 
-  /// Compile into a CSR Graph. Each undirected edge {u, v} becomes arcs
-  /// u->v and v->u; a self-loop {v, v} becomes two arcs v->v (degree +2),
-  /// matching the vol(V) = 2|E| convention. The builder remains usable.
+  /// Compile into a CSR Graph (compile_csr, serial, edges kept as given:
+  /// parallel edges repeat and a self-loop is two arcs). The builder
+  /// remains usable.
   [[nodiscard]] Graph build() const;
 
   /// The raw undirected edge list (tests use this).
-  [[nodiscard]] const std::vector<std::pair<Vertex, Vertex>>& edges() const noexcept {
+  [[nodiscard]] const std::vector<Edge>& edges() const noexcept {
     return edges_;
   }
 
  private:
   std::uint32_t n_;
-  std::vector<std::pair<Vertex, Vertex>> edges_;
+  std::vector<Edge> edges_;
 };
 
 }  // namespace cobra::graph

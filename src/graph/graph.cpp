@@ -24,9 +24,10 @@ Graph::Graph(std::uint32_t num_vertices, std::vector<EdgeIndex> offsets,
   for (const Vertex t : targets_) {
     if (t >= n_) throw std::invalid_argument("Graph: target vertex out of range");
   }
-  // Undirectedness (arc symmetry) is enforced by GraphBuilder, which is the
-  // only production path into this constructor; re-verifying here would be
-  // O(m log m) on every build. Tests cover the builder's symmetry guarantee.
+  // Undirectedness (arc symmetry) is enforced by graph::compile_csr
+  // (builder.hpp), the only production path into this constructor: it
+  // writes both arcs of every edge. Re-verifying here would be O(m log m)
+  // on every build; tests cover the compile's symmetry guarantee.
 }
 
 std::uint32_t Graph::min_degree() const noexcept {

@@ -120,6 +120,26 @@ TEST(Harness, FinishWritesTheOutJson) {
   EXPECT_NE(json.find("\"value\": 1.5"), std::string::npos);
 }
 
+TEST(Harness, FinishRecordsGraphBuildSecondsInContext) {
+  const std::string path = testing::TempDir() + "harness_build_time.json";
+  Harness h("timed", parse({"--out", path.c_str()}));
+  (void)h.suite({{"rmat", "rmat:n=2^12,deg=8,seed=1", ""},
+                 {"ring", "ring:n=64", ""}});
+  EXPECT_EQ(h.finish(), 0);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  const std::string key = "\"graph_build_seconds\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  // A context entry (the gate compares records only), positive and finite.
+  EXPECT_LT(at, json.find("\"records\""));
+  EXPECT_GT(std::stod(json.substr(at + key.size())), 0.0);
+}
+
 TEST(Harness, FinishWithoutOutIsANoOp) {
   Harness h("t", parse({}));
   EXPECT_EQ(h.finish(), 0);

@@ -119,6 +119,32 @@ TEST(CobraWalk, ResetFromSetCoalescesDuplicates) {
   EXPECT_THROW(walk.reset(std::vector<Vertex>{}), std::invalid_argument);
 }
 
+TEST(CobraWalk, ResetFromOwnActiveSubspanMatchesResetFromCopy) {
+  // reset() may be handed a view of the walk's own frontier; it must read
+  // the whole view before overwriting the list behind it.
+  const Graph g = make_grid(2, 8);
+  Engine g1(3), g2(3);
+  CobraWalk aliased(g, 0, 2), copied(g, 0, 2);
+  for (int t = 0; t < 6; ++t) {
+    aliased.step(g1);
+    copied.step(g2);
+  }
+  ASSERT_GT(aliased.active().size(), 2u);
+  aliased.reset(aliased.active().subspan(1));
+  const std::vector<Vertex> tail(copied.active().begin() + 1,
+                                 copied.active().end());
+  copied.reset(tail);
+  const auto listed = [](const CobraWalk& w) {
+    return std::vector<Vertex>(w.active().begin(), w.active().end());
+  };
+  EXPECT_EQ(listed(aliased), tail);
+  for (int t = 0; t < 20; ++t) {
+    aliased.step(g1);
+    copied.step(g2);
+    ASSERT_EQ(listed(aliased), listed(copied)) << "round " << t;
+  }
+}
+
 TEST(CobraWalk, SamplesDrawnAccounting) {
   const Graph g = make_complete(8);
   Engine gen(6);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -638,6 +639,14 @@ TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
   // ...and it too starts a fresh epoch on every call.
   engine.dedupe(in, frontier);
   EXPECT_EQ(listed(frontier), (std::vector<Vertex>{1, 2, 3, 7}));
+
+  // Aliasing: `in` may view the very list `out` overwrites (a walk reset
+  // from a subspan of its own active set).
+  std::vector<Vertex> self{5, 3, 5, 1, 3};
+  engine.dedupe(std::span<const Vertex>(self).subspan(1), self);
+  EXPECT_EQ(self, (std::vector<Vertex>{3, 5, 1}));
+  engine.dedupe(frontier.vertices().subspan(1), frontier);
+  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{2, 3, 7}));
 }
 
 }  // namespace
