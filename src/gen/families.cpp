@@ -21,10 +21,9 @@ namespace cobra::gen {
 
 namespace {
 
-using graph::EdgeIndex;
+using graph::Edge;
 using graph::Graph;
 using graph::Vertex;
-using graph::Edge;
 using ChunkEngine = rng::Xoshiro256;
 
 // Fixed chunk-granularity constants. These are part of the determinism
