@@ -9,18 +9,10 @@
 namespace cobra::core {
 
 FrontierEngine::FrontierEngine(const Graph& g, FrontierOptions opts)
-    : g_(&g), opts_(opts), stamp_(g.num_vertices(), 0) {
+    : g_(&g), opts_(opts) {
   if (g.num_vertices() == 0) {
     throw std::invalid_argument("FrontierEngine: empty graph");
   }
-}
-
-std::uint32_t FrontierEngine::advance_epoch() {
-  if (++epoch_ == 0) {  // 32-bit wrap: stamps from 2^32 sparse rounds ago
-    stamp_.assign(stamp_.size(), 0);  // would alias the new epoch — wipe
-    epoch_ = 1;
-  }
-  return epoch_;
 }
 
 bool FrontierEngine::want_dense(std::size_t frontier_size) const {
@@ -272,8 +264,7 @@ void FrontierEngine::audit_graph_once() {
 
 void FrontierEngine::audit_round(const std::vector<Vertex>* list,
                                  std::span<const std::uint64_t> bits,
-                                 std::size_t count, bool dense,
-                                 bool stamped) {
+                                 std::size_t count, bool dense) {
   if (!audit::sample_round(audit_seq_++)) return;
   audit_graph_once();
   const std::size_t n = g_->num_vertices();
@@ -288,43 +279,29 @@ void FrontierEngine::audit_round(const std::vector<Vertex>* list,
                            &why)) {
     audit::report_violation("bitmap", why);
   }
-  if (stamped && !audit::check_stamps(*list, stamp_, epoch_, &why)) {
-    audit::report_violation("epoch-stamps", why);
-  }
 }
 
-void FrontierEngine::dedupe(std::span<const Vertex> in,
-                            std::vector<Vertex>& out) {
+void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
+  std::vector<Vertex>& list = out.list_;
   // `in` may view `out`'s own storage (a walk reset from a subspan of its
-  // active set); clearing `out` would end the lifetime of what `in` reads.
+  // active set); overwriting the list would clobber what `in` reads.
   const std::less_equal<const Vertex*> at_or_before;
-  if (!in.empty() && at_or_before(out.data(), in.data()) &&
-      !at_or_before(out.data() + out.capacity(), in.data())) {
+  if (!in.empty() && at_or_before(list.data(), in.data()) &&
+      !at_or_before(list.data() + list.capacity(), in.data())) {
     const std::vector<Vertex> copy(in.begin(), in.end());
     dedupe(copy, out);
     return;
   }
-  out.clear();
-  if (in.empty()) return;
-  const std::uint32_t epoch = advance_epoch();
-  for (const Vertex v : in) {
-    if (stamp_[v] != epoch) {
-      stamp_[v] = epoch;
-      out.push_back(v);
-    }
-  }
-}
-
-void FrontierEngine::dedupe(std::span<const Vertex> in, Frontier& out) {
-  dedupe(in, out.list_);
-  out.list_valid_ = true;
-  out.dense_ = false;
+  list.assign(in.begin(), in.end());
   // Canonical ascending order — the invariant every expand input relies on.
   // Reset paths mostly pass ascending input already; skip the sort then.
-  if (!std::is_sorted(out.list_.begin(), out.list_.end())) {
-    std::sort(out.list_.begin(), out.list_.end());
+  if (!std::is_sorted(list.begin(), list.end())) {
+    std::sort(list.begin(), list.end());
   }
-  out.count_ = out.list_.size();
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+  out.list_valid_ = true;
+  out.dense_ = false;
+  out.count_ = list.size();
 }
 
 }  // namespace cobra::core

@@ -36,14 +36,13 @@
 /// threshold (hysteresis, so a frontier hovering at the boundary does not
 /// flap) — and the choice affects SPEED only, never results:
 ///
-///   * sparse rounds dedup offspring against a per-vertex 32-bit epoch
-///     stamp (one plain store serially, one compare_exchange in parallel)
-///     and sort the claimed list;
+///   * sparse rounds append, sort, unique: every offspring is appended to
+///     its chunk's claim list, and one sort + unique of the round's list
+///     leaves it ascending and duplicate-free;
 ///   * dense rounds dedup by setting bits of 64-bit bitmap words (one
 ///     plain store serially, one fetch_or in parallel) — the output is a
 ///     set materialized in ascending vertex order by construction, so no
-///     sort, no ownership resolution, and ~1/32 of the stamp path's dedup
-///     memory traffic.
+///     sort and no per-offspring list entry.
 ///
 /// Determinism contract (mirrors monte_carlo.hpp): a round's randomness is
 /// a pure function of its `round_seed`. The VERTEX-ID SPACE [0, n) is split
@@ -61,14 +60,11 @@
 /// callers: a frontier passed as a raw span must be sorted ascending and
 /// duplicate-free — which `expand` and `dedupe` outputs always are.
 ///
-/// Epoch-wrap audit (the stamp idiom's one failure mode): advancing the
-/// 32-bit epoch past 2^32 would alias stamps from 2^32 sparse rounds ago,
-/// so the advance wipes the array on wrap (`advance_epoch`). Dense rounds
-/// do not touch the stamps at all — their bitmap is cleared at round start
-/// — so representation switches compose with the epoch scheme with no
-/// extra invalidation. `expand` returns before touching any state when the
-/// frontier is empty: an extinct process stepped in a loop burns neither
-/// epochs nor bitmap clears.
+/// No dedup state carries over between rounds: a sparse round's claim
+/// lists are cleared before use and a dense round's bitmap at round start,
+/// so representation switches need no invalidation. `expand` returns before
+/// touching any state when the frontier is empty: an extinct process
+/// stepped in a loop pays no bitmap clears.
 ///
 /// Scheduling: every round — expand or retain, sparse or dense output,
 /// serial or pooled — runs the same per-chunk body (`run_round`). The
@@ -82,17 +78,17 @@
 /// few vertices ahead (ascending visit order makes the offsets stream
 /// sequential, so only the targets row needs the hint). How a claim is
 /// stored is a compile-time `Shared` flag of the body, not a per-sample
-/// branch: pooled expand rounds claim with a stamp CAS or a bitmap
-/// fetch_or, serial rounds with plain stores — a lock-prefixed fetch_or
-/// would tax every sample of the many small serial dense rounds that
-/// trial-level Monte-Carlo steps, one engine per trial.
+/// branch: pooled dense expand rounds claim with a bitmap fetch_or, serial
+/// rounds with plain stores — a lock-prefixed fetch_or would tax every
+/// sample of the many small serial dense rounds that trial-level
+/// Monte-Carlo steps, one engine per trial.
 
 namespace cobra::core {
 
 /// How `expand` chooses the round's representation.
 enum class FrontierMode : std::uint8_t {
   Auto,         ///< size-based switch with hysteresis (the default)
-  ForceSparse,  ///< always the stamp/list path (tests, tiny graphs)
+  ForceSparse,  ///< always the sorted-list path (tests, tiny graphs)
   ForceDense,   ///< always the bitmap path (tests)
 };
 
@@ -347,15 +343,11 @@ class FrontierEngine {
                  });
   }
 
-  /// Serial dedup of `in` into `out` (reset paths): keeps the first
-  /// occurrence of each vertex, preserving order. Shares the stamp array,
-  /// so it composes with expand rounds.
-  void dedupe(std::span<const Vertex> in, std::vector<Vertex>& out);
-
   /// Dedup `in` into a canonical (sorted ascending) sparse frontier — the
-  /// reset path of every engine client. Sorts only when the deduped list
-  /// is not already ascending, so a canonical `in` (an iota, a checked
-  /// checkpoint) costs one linear pass beyond the dedup.
+  /// reset path of every engine client: copy, sort, unique. The sort is
+  /// skipped when the copy is already ascending, so a canonical `in` (an
+  /// iota, a checked checkpoint) costs linear passes only. `in` may view
+  /// `out`'s own list (a reset from a subspan of the active set).
   void dedupe(std::span<const Vertex> in, Frontier& out);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }
@@ -392,11 +384,6 @@ class FrontierEngine {
   [[nodiscard]] std::uint64_t dense_fallbacks() const noexcept {
     return dense_fallbacks_;
   }
-
-  /// Set the dedup epoch counter directly — ONLY for tests exercising the
-  /// 32-bit wrap path (e.g. a resumed run crossing the wrap) without
-  /// stepping 2^32 sparse rounds first.
-  void set_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
 
   /// Total sink() invocations of the most recent expand round — i.e. the
   /// offspring emitted before dedup; |frontier| after a retain round (keep
@@ -487,9 +474,6 @@ class FrontierEngine {
       }
     }
   };
-
-  /// Advance the epoch, wiping stamps on 32-bit wrap (the aliasing guard).
-  std::uint32_t advance_epoch();
 
   /// Pick the round's representation: the size/hysteresis policy
   /// (want_dense), then a guarded grab of the bitmap storage — a failed
@@ -587,12 +571,10 @@ class FrontierEngine {
   /// audit::enabled(), the one relaxed load; sampling policy and the checks
   /// live in core/audit.*). Canonical order whenever there is a `list`;
   /// when `dense`, the bitmap `bits` against the list's size, or against
-  /// `count` without a list; epoch stamps when `stamped` — sparse expand
-  /// rounds only: a retain claims no vertices, so no stamp carries the
-  /// current epoch and the check would misfire.
+  /// `count` without a list.
   void audit_round(const std::vector<Vertex>* list,
                    std::span<const std::uint64_t> bits, std::size_t count,
-                   bool dense, bool stamped);
+                   bool dense);
   void audit_graph_once();
 
   /// One round of any kind, from the empty-input early return to the
@@ -607,8 +589,9 @@ class FrontierEngine {
   /// per-chunk body — seed derive_seed(round_seed, c), walk the chunk's
   /// vertices ascending through emit(v, rng, sink), claim each sunk
   /// vertex — on the calling thread or over the pool. Output goes to
-  /// `words` (Dense) or `list` (sorted before return unless a serial
-  /// retain left it ascending already); returns the output's size.
+  /// `words` (Dense) or `list` (sorted and deduplicated before return;
+  /// a serial retain's list is canonical already); returns the output's
+  /// size.
   template <bool Dense, bool Dedup, typename Emit>
   std::size_t run_round(const FrontierView& in, std::vector<Vertex>& list,
                         std::vector<std::uint64_t>& words,
@@ -616,8 +599,6 @@ class FrontierEngine {
 
   const Graph* g_;
   FrontierOptions opts_;
-  std::vector<std::uint32_t> stamp_;  ///< per-vertex epoch of last claim
-  std::uint32_t epoch_ = 0;
   bool last_dense_ = false;  ///< hysteresis memory
   bool have_mode_ = false;   ///< false until the first non-empty round
   std::vector<std::uint64_t> scratch_bits_;  ///< span-overload dense output
@@ -648,15 +629,16 @@ std::size_t FrontierEngine::run_round(const FrontierView& in,
   const std::size_t span = chunk_span();
   const std::size_t n_chunks =
       (static_cast<std::size_t>(g_->num_vertices()) + span - 1) / span;
-  const std::uint32_t epoch = Dedup && !Dense ? advance_epoch() : 0;
   par::ThreadPool* pool = pick_pool(in.size());
   if constexpr (Dense) clear_words(words, pool);  // may reallocate
   std::uint64_t* bits = words.data();
 
   // The per-chunk body. `shared` (a std::bool_constant) says whether other
-  // workers claim concurrently: pooled expand rounds then CAS the stamp or
-  // fetch_or the word; serial rounds, and every retain (it sets only its
-  // own chunk's bits, and chunks are word-aligned), keep plain stores.
+  // workers claim concurrently: pooled dense expand rounds then fetch_or
+  // the word; serial rounds, and every dense retain (it sets only its own
+  // chunk's bits, and chunks are word-aligned), keep plain stores. Sparse
+  // rounds append every sunk vertex to the chunk's own claim list and
+  // deduplicate once, after the sort below.
   const auto visit = [&](auto shared, std::size_t c, const Chunk& chunk,
                          std::vector<Vertex>& claims, Tally& tally) {
     ChunkRng rng(rng::derive_seed(round_seed, c));
@@ -675,20 +657,7 @@ std::size_t FrontierEngine::run_round(const FrontierView& in,
           bits[u >> 6] = old | bit;
         }
         claimed += (old & bit) == 0;
-      } else if constexpr (!Dedup) {
-        claims.push_back(u);  // a subset of a canonical frontier: no dedup
-      } else if constexpr (decltype(shared)::value) {
-        std::atomic_ref<std::uint32_t> cell(stamp_[u]);
-        std::uint32_t cur = cell.load(std::memory_order_relaxed);
-        // One strong CAS suffices: every contending write this round
-        // installs the same epoch value, so failure == already claimed.
-        if (cur != epoch &&
-            cell.compare_exchange_strong(cur, epoch,
-                                         std::memory_order_relaxed)) {
-          claims.push_back(u);
-        }
-      } else if (stamp_[u] != epoch) {
-        stamp_[u] = epoch;
+      } else {
         claims.push_back(u);
       }
     };
@@ -729,12 +698,18 @@ std::size_t FrontierEngine::run_round(const FrontierView& in,
       list.insert(list.end(), worker_lists_[w].begin(), worker_lists_[w].end());
     }
   }
-  // Canonical ascending order: what makes the result independent of both
-  // the schedule (claim sets are schedule-independent; pooled chunks are
-  // taken dynamically, so worker lists interleave) and the representation
-  // (the dense path is ascending by construction). A serial retain's
-  // filtered copy of an ascending input is ascending already.
-  if (!Dense && (Dedup || last_parallel_)) std::sort(list.begin(), list.end());
+  // Canonical ascending order, duplicates removed: what makes the result
+  // independent of both the schedule (pooled chunks are taken dynamically,
+  // so worker lists interleave) and the representation (the dense path is
+  // ascending and duplicate-free by construction). A retain's filtered
+  // copy of a canonical input has no duplicates, and a serial one is
+  // ascending already.
+  if constexpr (!Dense) {
+    if (Dedup || last_parallel_) std::sort(list.begin(), list.end());
+    if constexpr (Dedup) {
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+  }
   last_emitted_ = Dedup ? total.emitted : in.size();
   last_rng_blocks_ = total.rng_blocks;
   return Dense ? static_cast<std::size_t>(total.claimed) : list.size();
@@ -746,7 +721,7 @@ void FrontierEngine::round(const FrontierView& in, Out& out,
   constexpr bool kFrontier = std::is_same_v<Out, Frontier>;
   out.clear();
   last_emitted_ = 0;
-  if (in.size() == 0) return;  // no epoch/bitmap burn for extinct processes
+  if (in.size() == 0) return;  // no bitmap clear for extinct processes
 
   // Advance the chaos round clock (event-log context for fault firings).
   // Gated on the fault registry's relaxed load — free in fault-free runs.
@@ -788,7 +763,7 @@ void FrontierEngine::round(const FrontierView& in, Out& out,
   // One relaxed load when unarmed, mirroring fault/trace; the sampled
   // checks read the produced frontier only, never mutate it.
   if (audit::enabled()) {
-    audit_round(list, *bits, count, dense, Dedup && !dense);
+    audit_round(list, *bits, count, dense);
   }
   if (traced) emit_trace(in, count, dense, watch);
 }

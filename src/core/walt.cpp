@@ -11,7 +11,6 @@ Walt::Walt(const Graph& g, std::span<const Vertex> starts, bool lazy)
     : g_(&g),
       lazy_(lazy),
       positions_(starts.begin(), starts.end()),
-      stamp_(g.num_vertices(), 0),
       arrivals_(g.num_vertices(), 0),
       dest0_(g.num_vertices(), 0),
       dest1_(g.num_vertices(), 0) {
@@ -49,24 +48,18 @@ void Walt::reset(std::span<const Vertex> starts) {
   rebuild_occupied();
 }
 
-// Epoch-stamp wrap audit: Walt advances the epoch twice per step (the move
-// pass and rebuild_occupied), so a 32-bit wrap arrives after 2^31 steps;
-// both advances wipe the stamp array on wrap, which keeps stale stamps from
-// aliasing the fresh epoch (the bug class the FrontierEngine centralizes
-// for the frontier processes — Walt keeps its own stamps because it also
-// uses them for per-round arrival slots, not just membership dedup).
+// occupied_ lists the distinct positions in first-occurrence order. The
+// arrival counters double as the membership marks, and are zeroed again
+// through the list they built.
 void Walt::rebuild_occupied() {
   occupied_.clear();
-  if (++epoch_ == 0) {
-    stamp_.assign(stamp_.size(), 0);
-    epoch_ = 1;
-  }
   for (const Vertex v : positions_) {
-    if (stamp_[v] != epoch_) {
-      stamp_[v] = epoch_;
+    if (arrivals_[v] == 0) {
+      arrivals_[v] = 1;
       occupied_.push_back(v);
     }
   }
+  for (const Vertex v : occupied_) arrivals_[v] = 0;
 }
 
 void Walt::step(Engine& gen) {
@@ -80,17 +73,8 @@ void Walt::step(Engine& gen) {
   // source vertex we record how many pebbles have been processed there this
   // round and the destinations of the first two; pebble #3+ flips a fair
   // coin between those two destinations (rule 2).
-  if (++epoch_ == 0) {
-    stamp_.assign(stamp_.size(), 0);
-    epoch_ = 1;
-  }
-  const std::uint32_t move_epoch = epoch_;
   for (Vertex& pos : positions_) {
     const Vertex v = pos;
-    if (stamp_[v] != move_epoch) {
-      stamp_[v] = move_epoch;
-      arrivals_[v] = 0;
-    }
     const std::uint32_t slot = arrivals_[v]++;
     if (slot == 0) {
       dest0_[v] = random_neighbor(*g_, v, gen);
@@ -105,6 +89,10 @@ void Walt::step(Engine& gen) {
   // Note on rule 1 vs rule 2: with exactly two pebbles at v the behaviour
   // of both rules coincides (each of the first two movers is independent),
   // so the single pass needs no occupancy pre-count.
+  //
+  // occupied_ still lists this round's source vertices: exactly the
+  // counters the pass set.
+  for (const Vertex v : occupied_) arrivals_[v] = 0;
   rebuild_occupied();
 }
 

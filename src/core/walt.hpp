@@ -23,8 +23,10 @@
 /// spectral analysis of the tensor-product walk).
 ///
 /// The implementation processes pebbles in id order (ids ARE the total
-/// order), using per-round stamped per-vertex slots to find each vertex's
-/// first two movers without sorting.
+/// order), using per-vertex arrival counters to find each vertex's first
+/// two movers without sorting. The counters are all zero between passes:
+/// each pass zeroes the entries it set by walking the distinct occupied
+/// vertices, so a round costs O(pebbles), never O(n).
 
 namespace cobra::core {
 
@@ -73,12 +75,10 @@ class Walt {
   bool lazy_;
   std::vector<Vertex> positions_;   ///< pebble id -> vertex
   std::vector<Vertex> occupied_;    ///< distinct occupied vertices
-  // Per-round scratch, stamped by epoch to avoid O(n) clears:
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> arrivals_;  ///< pebbles seen at v this round
+  // Per-round scratch; arrivals_ is all zero between passes:
+  std::vector<std::uint32_t> arrivals_;  ///< pebbles seen at v this pass
   std::vector<Vertex> dest0_;            ///< first mover's destination
   std::vector<Vertex> dest1_;            ///< second mover's destination
-  std::uint32_t epoch_ = 0;
   std::uint64_t round_ = 0;
   std::uint64_t lazy_skips_ = 0;
 };

@@ -53,8 +53,9 @@ ClauseSystem random_ksat(std::uint32_t num_vars, std::uint32_t num_clauses,
 graph::Graph dependency_graph(const ClauseSystem& sys) {
   const std::uint32_t m = sys.num_clauses();
   // Invert to var -> clause incidence, then emit every within-variable
-  // clause pair; simplify() merges clauses sharing several variables into
-  // one edge (and drops the self-pairings that never arise here).
+  // clause pair; the simplifying build merges clauses sharing several
+  // variables into one edge (and drops the self-pairings that never arise
+  // here).
   std::vector<std::vector<std::uint32_t>> incidence(sys.num_vars);
   for (std::uint32_t c = 0; c < m; ++c) {
     for (const std::uint32_t x : sys.clause_vars(c)) {
@@ -69,8 +70,7 @@ graph::Graph dependency_graph(const ClauseSystem& sys) {
       }
     }
   }
-  builder.simplify();
-  return builder.build();
+  return builder.build(/*simplify=*/true);
 }
 
 }  // namespace cobra::gen

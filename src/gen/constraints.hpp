@@ -88,8 +88,8 @@ struct ClauseSystem {
                                        std::uint32_t k, std::uint64_t seed);
 
 /// The clause dependency graph: one vertex per clause, an edge between two
-/// distinct clauses iff they share a variable (duplicate pairs merged via
-/// GraphBuilder::simplify). Isolated clauses are fine — they resample
+/// distinct clauses iff they share a variable (duplicate pairs merged by
+/// GraphBuilder::build(true)). Isolated clauses are fine — they resample
 /// alone.
 [[nodiscard]] graph::Graph dependency_graph(const ClauseSystem& sys);
 

@@ -533,8 +533,7 @@ Graph chung_lu(std::uint32_t n, double gamma, double min_deg,
       ++v;
     }
   }
-  b.simplify();
-  return b.build();
+  return b.build(/*simplify=*/true);
 }
 
 }  // namespace cobra::gen

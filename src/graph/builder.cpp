@@ -97,21 +97,9 @@ void GraphBuilder::add_edge(Vertex u, Vertex v) {
 
 void GraphBuilder::reserve(std::size_t num_edges) { edges_.reserve(num_edges); }
 
-std::size_t GraphBuilder::simplify() {
-  const std::size_t before = edges_.size();
-  // Canonicalize each edge as (min, max), drop loops, sort, unique.
-  std::erase_if(edges_, [](const auto& e) { return e.first == e.second; });
-  for (auto& [u, v] : edges_) {
-    if (u > v) std::swap(u, v);
-  }
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  return before - edges_.size();
-}
-
-Graph GraphBuilder::build() const {
+Graph GraphBuilder::build(bool simplify) const {
   return compile_csr(n_, std::span<const std::vector<Edge>>(&edges_, 1),
-                     false);
+                     simplify);
 }
 
 }  // namespace cobra::graph

@@ -54,14 +54,12 @@ class GraphBuilder {
   [[nodiscard]] std::uint32_t num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
 
-  /// Remove parallel edges and self-loops in place (the simplification step
-  /// of the configuration model). Returns the number of edges removed.
-  std::size_t simplify();
-
-  /// Compile into a CSR Graph (compile_csr, serial, edges kept as given:
-  /// parallel edges repeat and a self-loop is two arcs). The builder
+  /// Compile into a CSR Graph (compile_csr, serial). By default edges are
+  /// kept as given: parallel edges repeat and a self-loop is two arcs.
+  /// With `simplify`, the result is the simple graph on the edge set
+  /// (self-loops and repeats dropped, in either orientation). The builder
   /// remains usable.
-  [[nodiscard]] Graph build() const;
+  [[nodiscard]] Graph build(bool simplify = false) const;
 
   /// The raw undirected edge list (tests use this).
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept {

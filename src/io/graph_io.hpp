@@ -15,8 +15,7 @@
 ///
 /// Vertices are 0-based integers below num_vertices. Parallel edges and
 /// self-loops round-trip verbatim (the reader does not simplify; callers
-/// wanting simple graphs pass the result through GraphBuilder::simplify
-/// semantics by re-building).
+/// wanting simple graphs re-build the edges with GraphBuilder::build(true)).
 
 namespace cobra::io {
 

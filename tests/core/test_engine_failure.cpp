@@ -1,7 +1,6 @@
-// Failure-edge tests for the frontier engine: the 32-bit epoch counter
-// wrapping mid-(resumed)-run, a forced-dense step on an extinct process,
-// and dense-bitmap allocation failure degrading to the sparse path without
-// changing results.
+// Failure-edge tests for the frontier engine: a forced-dense step on an
+// extinct process, and dense-bitmap allocation failure degrading to the
+// sparse path without changing results.
 
 #include <gtest/gtest.h>
 
@@ -14,48 +13,16 @@
 #include "gen/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/runner.hpp"
-#include "util/checkpoint_io.hpp"
 #include "util/fault.hpp"
 
 namespace {
 
 using namespace cobra;
 
-std::vector<core::Vertex> active_of(const core::CobraWalk& w) {
-  return {w.active().begin(), w.active().end()};
-}
-
 struct EngineFailureTest : ::testing::Test {
   void SetUp() override { util::fault::disarm_all(); }
   void TearDown() override { util::fault::disarm_all(); }
 };
-
-TEST_F(EngineFailureTest, EpochWrapDuringResumedRunKeepsTheTrajectory) {
-  const graph::Graph g = gen::build_graph("rreg:n=256,d=4,seed=13");
-  core::Engine gen(7);
-  core::CobraWalk src(g, 0, 2);
-  src.engine().options().mode = core::FrontierMode::ForceSparse;
-  for (int i = 0; i < 10; ++i) src.step(gen);
-
-  // Resume the run into a fresh process whose epoch counter sits one short
-  // of the 32-bit wrap: the second sparse round crosses it, forcing the
-  // stamp-array wipe. Trajectories must not notice.
-  util::CheckpointWriter w;
-  src.save_state(w);
-  core::CobraWalk dst(g, 0, 2);
-  dst.engine().options().mode = core::FrontierMode::ForceSparse;
-  util::CheckpointReader r(w.buffer());
-  dst.restore_state(r);
-  dst.engine().set_epoch_for_testing(0xFFFFFFFEu);
-
-  core::Engine ga = gen, gb = gen;
-  for (int i = 0; i < 40; ++i) {
-    src.step(ga);
-    dst.step(gb);
-    ASSERT_EQ(active_of(dst), active_of(src))
-        << "trajectories diverged " << i << " rounds after the epoch wrap";
-  }
-}
 
 TEST_F(EngineFailureTest, ForcedDenseStepOnExtinctProcessIsANoOp) {
   const graph::Graph g = gen::build_graph("ring:n=128");

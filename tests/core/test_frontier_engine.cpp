@@ -216,7 +216,7 @@ TEST(NeighborSampler, GenericPathForNonPow2AndDegreeOne) {
   EXPECT_FALSE(NeighborSampler(make_path(5)).fast_path());  // irregular
 }
 
-TEST(FrontierEngine, EmptyFrontierIsFreeAndKeepsEpoch) {
+TEST(FrontierEngine, EmptyFrontierIsFree) {
   const Graph g = make_cycle(16);
   FrontierEngine engine(g);
   const TwoSampler sampler{&g, NeighborSampler(g)};
@@ -237,7 +237,7 @@ TEST(FrontierEngine, ExtinctGeneralizedWalkStepsAreCheapNoOps) {
   for (int t = 0; t < 100; ++t) walk.step(gen);
   EXPECT_TRUE(walk.extinct());
   EXPECT_EQ(walk.round(), 101u);
-  // No randomness consumed, no epoch advanced: the step is a pure counter.
+  // No randomness consumed, no round run: the step is a pure counter.
   EXPECT_EQ(gen.state(), state_before);
 }
 
@@ -300,24 +300,33 @@ TEST(FrontierEngine, SparseAndDensePathsProduceIdenticalTrajectories) {
   }
 }
 
-TEST(FrontierEngine, ForcedDenseBitIdenticalAcrossThreadCounts) {
+TEST(FrontierEngine, ForcedModesBitIdenticalAcrossThreadCounts) {
+  // Every round of a k = 2 walk from all vertices emits duplicate
+  // offspring, so the pooled sparse rounds exercise the sort + unique of
+  // interleaved worker claim lists, and the pooled dense rounds the shared
+  // fetch_or bitmap.
   Engine graph_gen(32);
   const Graph g = gen::random_regular(20000, 4, graph_gen());
 
   FrontierOptions serial;
   serial.chunk_size = kChunk;
   serial.parallel_threshold = static_cast<std::size_t>(-1);
-  serial.mode = FrontierMode::ForceDense;
+  serial.mode = FrontierMode::ForceSparse;
   const auto reference = run_trajectory(g, serial, 6);
   ASSERT_GT(reference.back().size(), 1000u);
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    par::ThreadPool pool(threads);
-    FrontierOptions opts = serial;
-    opts.parallel_threshold = 1;
-    opts.pool = &pool;
-    EXPECT_EQ(run_trajectory(g, opts, 6), reference)
-        << threads << " threads (forced dense)";
+  for (const FrontierMode mode :
+       {FrontierMode::ForceSparse, FrontierMode::ForceDense}) {
+    const char* name = mode == FrontierMode::ForceDense ? "dense" : "sparse";
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      par::ThreadPool pool(threads);
+      FrontierOptions opts = serial;
+      opts.mode = mode;
+      opts.parallel_threshold = 1;
+      opts.pool = &pool;
+      EXPECT_EQ(run_trajectory(g, opts, 6), reference)
+          << threads << " threads (forced " << name << ")";
+    }
   }
 }
 
@@ -397,11 +406,10 @@ TEST(FrontierEngine, SwitchHysteresisAcrossACoalescenceRun) {
             std::vector<Vertex>(walks.active().begin(), walks.active().end()));
 }
 
-TEST(FrontierEngine, EpochStampsSurviveInterleavedDenseRounds) {
-  // Dense rounds never touch the epoch stamps; sparse rounds never touch
-  // the bitmap. Alternating representations round by round on one engine
-  // must therefore match the all-sparse reference exactly, including with
-  // a dedupe() (epoch-consuming reset) spliced between rounds.
+TEST(FrontierEngine, InterleavedSparseAndDenseRoundsMatchAllSparse) {
+  // Sparse rounds never touch the bitmap, and dense rounds clear it at
+  // round start. Alternating representations round by round on one engine
+  // must therefore match the all-sparse reference exactly.
   Engine graph_gen(34);
   const Graph g = gen::random_regular(4096, 4, graph_gen());
   const TwoSampler sampler{&g, NeighborSampler(g)};
@@ -425,13 +433,6 @@ TEST(FrontierEngine, EpochStampsSurviveInterleavedDenseRounds) {
       frontier.swap(next);
       const auto vs = frontier.vertices();
       trajectory.emplace_back(vs.begin(), vs.end());
-      if (r == 5) {
-        // An interleaved reset-path dedupe burns an epoch; round results
-        // must be unaffected (it is a fresh epoch either way).
-        std::vector<Vertex> scratch_out;
-        engine.dedupe(std::vector<Vertex>{1, 2, 1, 3}, scratch_out);
-        EXPECT_EQ(scratch_out, (std::vector<Vertex>{1, 2, 3}));
-      }
     }
     return trajectory;
   };
@@ -612,41 +613,44 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     counter_case_name);
 
-TEST(FrontierEngine, DedupeKeepsFirstOccurrence) {
+TEST(FrontierEngine, DedupeYieldsACanonicalFrontier) {
   const Graph g = make_cycle(8);
   FrontierEngine engine(g);
-  const std::vector<Vertex> in{3, 1, 3, 2, 1, 7};
-  std::vector<Vertex> out;
-  engine.dedupe(in, out);
-  EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
-  // Epochs separate calls: a second dedupe starts fresh.
-  engine.dedupe(in, out);
-  EXPECT_EQ(out, (std::vector<Vertex>{3, 1, 2, 7}));
-
-  // The Frontier overload: canonical output whether or not it had to sort.
   const auto listed = [](const Frontier& f) {
     return std::vector<Vertex>(f.vertices().begin(), f.vertices().end());
   };
+  // Canonical output whether or not it had to sort.
   Frontier frontier;
   const std::vector<Vertex> ascending{0, 2, 5, 6};
   engine.dedupe(ascending, frontier);
   EXPECT_FALSE(frontier.dense());
   EXPECT_EQ(frontier.size(), 4u);
   EXPECT_EQ(listed(frontier), ascending);
+  const std::vector<Vertex> in{3, 1, 3, 2, 1, 7};
   engine.dedupe(in, frontier);
   EXPECT_EQ(frontier.size(), 4u);
   EXPECT_EQ(listed(frontier), (std::vector<Vertex>{1, 2, 3, 7}));
-  // ...and it too starts a fresh epoch on every call.
-  engine.dedupe(in, frontier);
-  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{1, 2, 3, 7}));
+  // Ascending input with repeats skips the sort but not the unique.
+  engine.dedupe(std::vector<Vertex>{0, 0, 4, 4, 4, 5}, frontier);
+  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{0, 4, 5}));
 
   // Aliasing: `in` may view the very list `out` overwrites (a walk reset
-  // from a subspan of its own active set).
-  std::vector<Vertex> self{5, 3, 5, 1, 3};
-  engine.dedupe(std::span<const Vertex>(self).subspan(1), self);
-  EXPECT_EQ(self, (std::vector<Vertex>{3, 5, 1}));
+  // from a subspan of its own active set, or from all of it).
+  engine.dedupe(in, frontier);
   engine.dedupe(frontier.vertices().subspan(1), frontier);
   EXPECT_EQ(listed(frontier), (std::vector<Vertex>{2, 3, 7}));
+  engine.dedupe(frontier.vertices(), frontier);
+  EXPECT_EQ(listed(frontier), (std::vector<Vertex>{2, 3, 7}));
+  // ...including the list a dense frontier materializes on demand.
+  Frontier dense;
+  engine.options().mode = FrontierMode::ForceDense;
+  engine.expand(frontier, dense, 9, TwoSampler{&g, NeighborSampler(g)});
+  ASSERT_TRUE(dense.dense());
+  const std::vector<Vertex> expected = listed(dense);
+  engine.dedupe(dense.vertices().subspan(1), dense);
+  EXPECT_FALSE(dense.dense());
+  EXPECT_EQ(listed(dense),
+            std::vector<Vertex>(expected.begin() + 1, expected.end()));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 /// Tests for the engine's remove-from-frontier path (FrontierEngine::retain):
 /// pure predicate filtering with canonical output, bit-identity across
-/// thread counts and representations, and the removal-round audit (retain
-/// claims no vertices, so the expand path's epoch/stamp check must NOT
-/// fire). Its counters (last_emitted, last_rng_blocks, path counts) are
+/// thread counts and representations, and the audit of interleaved
+/// expand and removal rounds. Its counters (last_emitted, last_rng_blocks, path counts) are
 /// pinned by test_frontier_engine's FrontierCounters suite.
 
 #include "core/frontier_engine.hpp"
@@ -142,11 +141,9 @@ TEST(FrontierRetain, BitIdenticalAcrossThreadCountsBothModes) {
 }
 
 TEST(FrontierRetain, AuditedRemovalRoundsPassAndObserveOnly) {
-  // The expand path's stamp check would misfire on retain rounds (a retain
-  // claims no vertices, so no stamp carries the current epoch); the
-  // dedicated removal-round audit checks canonical shape only. Under full
-  // auditing with throw-on-violation armed, interleaved expand/retain
-  // rounds must run clean and produce the unaudited trajectory.
+  // Under full auditing with throw-on-violation armed, interleaved
+  // expand/retain rounds must pass the canonical-order and bitmap checks
+  // and produce the unaudited trajectory.
   audit::set_level(0);
   audit::set_throw_on_violation(true);
   Engine graph_gen(44);

@@ -32,7 +32,7 @@ TEST(Builder, ArcSymmetry) {
   }
 }
 
-TEST(Builder, SimplifyRemovesLoopsAndDuplicates) {
+TEST(Builder, SimplifyingBuildRemovesLoopsAndDuplicates) {
   GraphBuilder b(4);
   b.add_edge(0, 1);
   b.add_edge(1, 0);  // duplicate (reversed)
@@ -40,20 +40,26 @@ TEST(Builder, SimplifyRemovesLoopsAndDuplicates) {
   b.add_edge(2, 3);
   b.add_edge(2, 3);  // duplicate
   EXPECT_EQ(b.num_edges(), 5u);
-  EXPECT_EQ(b.simplify(), 3u);
-  EXPECT_EQ(b.num_edges(), 2u);
-  const Graph g = b.build();
+  const Graph g = b.build(/*simplify=*/true);
+  EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.is_simple());
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(2, 3));
+  EXPECT_EQ(g.degree(2), 1u);
+  // The edge list itself is untouched: the plain build keeps every edge.
+  EXPECT_EQ(b.num_edges(), 5u);
+  EXPECT_FALSE(b.build().is_simple());
 }
 
-TEST(Builder, SimplifyOnCleanGraphIsNoop) {
+TEST(Builder, SimplifyingBuildOnCleanGraphMatchesPlainBuild) {
   GraphBuilder b(3);
   b.add_edge(0, 1);
   b.add_edge(1, 2);
-  EXPECT_EQ(b.simplify(), 0u);
-  EXPECT_EQ(b.num_edges(), 2u);
+  const Graph g = b.build(/*simplify=*/true);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.is_simple());
+  EXPECT_EQ(g.offsets(), b.build().offsets());
+  EXPECT_EQ(g.targets(), b.build().targets());
 }
 
 TEST(Builder, BuildIsRepeatable) {
